@@ -4,8 +4,10 @@
 //
 // Sweeps node count {1, 2, 4, 8} for both constraint classes on the
 // 5000/50000(+5000) workload. Reported metric: the deterministic
-// simulated makespan (see src/parallel/cost_model.h), pinned to
-// simulate mode so the checked-in baseline is host-independent.
+// simulated makespan (see src/parallel/cost_model.h). The simulated
+// series run on a caller-only pool (every phase on the benchmark
+// thread); the makespan depends on the data alone, so the checked-in
+// baseline is host-independent.
 // Expected shape:
 //  * domain constraint: near-ideal speedup (fragment-local);
 //  * referential constraint with key/foreign-key fragmentation:
@@ -32,11 +34,12 @@ using parallel::FragmentationScheme;
 enum class Constraint { kDomain, kRefInt };
 enum class Placement { kKeyFk, kRoundRobin };
 
-/// The simulated series must not depend on the machine they run on:
-/// force simulate mode regardless of the core count of this host.
+/// The simulated series run single-threaded whatever the core count of
+/// the host: every phase on a caller-only pool.
 parallel::ParallelOptions SimulateOnly() {
+  static parallel::ThreadPool caller_only(0);
   parallel::ParallelOptions options;
-  options.use_threads = false;
+  options.pool = &caller_only;
   return options;
 }
 
@@ -173,7 +176,6 @@ void BM_ParallelThreadedWallVsSim(benchmark::State& state) {
       {"key_rel", FragmentationScheme{FragmentationKind::kRoundRobin, 0}}};
 
   parallel::ParallelOptions options;
-  options.use_threads = true;
   options.num_workers = workers;
 
   double wall_ms = 0;

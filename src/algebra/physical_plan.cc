@@ -1561,114 +1561,12 @@ Result<Relation> MaterializeLiteral(const RelExpr& e, EvalStats* stats,
   return out;
 }
 
-Result<Relation> ExecuteNodeLocal(const PhysicalNode& n, const Relation& left,
-                                  const Relation* right, EvalStats* stats,
-                                  const std::vector<Value>* params) {
-  const RelExpr& e = *n.logical;
-  auto scan = [](const Relation& rel) {
-    Stream s;
-    s.schema = rel.schema_ptr();
-    s.unique = true;
-    s.cursor = std::make_unique<ScanCursor>(RelHandle::Borrowed(&rel));
-    return s;
-  };
-  Stream s;
-  switch (n.op) {
-    case PhysOpKind::kSelect: {
-      s.schema = left.schema_ptr();
-      s.cursor = std::make_unique<SelectCursor>(scan(left), &e.predicate(),
-                                                stats, params);
-      break;
-    }
-    case PhysOpKind::kProject: {
-      const std::vector<ProjectionItem>& items = e.projections();
-      std::vector<Attribute> attrs;
-      attrs.reserve(items.size());
-      for (std::size_t i = 0; i < items.size(); ++i) {
-        attrs.push_back(Attribute{ProjectionItemName(items[i], left.schema(), i),
-                                  InferScalarType(items[i].expr,
-                                                  left.schema(), params)});
-      }
-      s.schema = MakeSchema(std::move(attrs));
-      s.cursor = std::make_unique<ProjectCursor>(scan(left), &items, stats,
-                                                 params);
-      break;
-    }
-    case PhysOpKind::kProduct: {
-      if (right == nullptr) return Status::Internal("product needs a right");
-      s.schema = MakeSchema(ConcatAttrs(left.schema(), right->schema()));
-      CountScan(stats, right->size());
-      s.cursor = std::make_unique<ProductCursor>(
-          scan(left), RelHandle::Borrowed(right), left.arity(),
-          right->arity(), stats);
-      break;
-    }
-    case PhysOpKind::kHashJoin:
-    case PhysOpKind::kIndexLookupJoin:
-    case PhysOpKind::kNestedLoopJoin: {
-      if (right == nullptr) return Status::Internal("join needs a right");
-      // Fragment-local inputs carry no declared indexes, so the hash
-      // variant (transient build over the — small — right fragment) is the
-      // local form of both kHashJoin and kIndexLookupJoin.
-      const bool is_join = e.kind() == RelExprKind::kJoin;
-      s.schema = is_join
-                     ? MakeSchema(ConcatAttrs(left.schema(), right->schema()))
-                     : left.schema_ptr();
-      const std::size_t out_arity = s.schema->arity();
-      CountScan(stats, right->size());
-      if (!n.right_keys.empty()) {
-        s.cursor = std::make_unique<HashJoinCursor>(
-            e.kind(), &e.predicate(), scan(left), RelHandle::Borrowed(right),
-            /*view=*/RelationIndexView(), n.left_keys, n.right_keys,
-            out_arity, stats, params);
-      } else {
-        s.cursor = std::make_unique<NestedJoinCursor>(
-            e.kind(), &e.predicate(), scan(left), RelHandle::Borrowed(right),
-            out_arity, stats, params);
-      }
-      break;
-    }
-    case PhysOpKind::kUnion: {
-      if (right == nullptr) return Status::Internal("union needs a right");
-      if (left.arity() != right->arity()) {
-        return Status::InvalidArgument(
-            "set operation over different arities");
-      }
-      s.schema = left.schema_ptr();
-      s.cursor = std::make_unique<UnionCursor>(scan(left), scan(*right),
-                                               stats);
-      break;
-    }
-    case PhysOpKind::kHashSetOp:
-    case PhysOpKind::kIndexSetOp: {
-      if (right == nullptr) return Status::Internal("set op needs a right");
-      if (left.arity() != right->arity()) {
-        return Status::InvalidArgument(
-            "set operation over different arities");
-      }
-      s.schema = left.schema_ptr();
-      CountScan(stats, right->size());
-      s.cursor = std::make_unique<FilterSetOpCursor>(
-          scan(left), RelHandle::Borrowed(right),
-          /*want_in=*/e.kind() == RelExprKind::kIntersect, stats);
-      break;
-    }
-    case PhysOpKind::kScan:
-    case PhysOpKind::kLiteral:
-    case PhysOpKind::kAggregate:
-      return Status::Internal(
-          StrCat(PhysOpKindToString(n.op),
-                 " is not a fragment-local operator"));
-  }
-  return Drain(&s);
-}
-
 // ---------------------------------------------------------------------------
 // Morsel-granular kernels (NodeLocalKernel): the per-fragment prepared
-// state plus a per-morsel cursor run. The cursor choices mirror
-// ExecuteNodeLocal exactly; only the left stream (a pointer slice instead
-// of a fragment scan) and the hash-join build (shared across morsels
-// instead of per call) differ.
+// state plus a per-morsel cursor run. The cursors are the serial
+// engine's; only the left stream (a pointer slice instead of a relation
+// scan) and the hash-join build (prepared once per fragment and shared
+// across morsels) differ.
 // ---------------------------------------------------------------------------
 
 struct NodeLocalKernel::State {

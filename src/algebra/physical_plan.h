@@ -129,29 +129,18 @@ class PhysicalPlan {
   int num_params_ = 0;
 };
 
-/// Executes the single operator `node` over already-materialized inputs —
-/// the fragment-local kernel of the parallel engine. Children of `node`
-/// are NOT executed; the caller supplies their (per-fragment) results as
-/// `left` and `right` (`right` is null for unary operators). Runs the
-/// same cursor implementations as serial execution; join-like nodes build
-/// a transient hash table over `right` (fragments carry no declared
-/// indexes, so index variants fall back to their hash equivalents).
-/// `params` binds parameter slots of canonical (shape-cached) plans.
-/// Thread-safe for concurrent calls on disjoint outputs: inputs and
-/// params are only read.
-Result<Relation> ExecuteNodeLocal(const PhysicalNode& node,
-                                  const Relation& left,
-                                  const Relation* right,
-                                  EvalStats* stats = nullptr,
-                                  const std::vector<Value>* params = nullptr);
-
-/// Morsel-granular form of ExecuteNodeLocal for the parallel runtime's
+/// The fragment-local kernel of the parallel engine: executes the single
+/// operator `node` over already-materialized per-fragment inputs (its
+/// children are NOT executed), in morsels for the runtime's
 /// work-stealing phases. Prepare does the once-per-fragment work — output
 /// schema resolution, build-side scan counting, and the transient hash
-/// table over `right` for equality joins — and the returned kernel then
-/// executes fixed-size runs ("morsels") of input-tuple pointers through
-/// the same cursor implementations serial execution runs, so operator
-/// semantics cannot diverge between morsel and whole-fragment execution.
+/// table over `right` for equality joins (fragments carry no declared
+/// indexes, so index variants run as their hash equivalents) — and the
+/// returned kernel then executes fixed-size runs ("morsels") of
+/// input-tuple pointers through the same cursor implementations serial
+/// execution runs, so operator semantics cannot diverge between the two
+/// engines. `params` binds parameter slots of canonical (shape-cached)
+/// plans.
 ///
 /// RunMorsel is const and thread-safe for concurrent calls: morsels only
 /// read the prepared state, and each call owns its output buffer and
@@ -166,7 +155,7 @@ class NodeLocalKernel {
  public:
   /// `left_schema` is the schema of the fragments whose tuples the
   /// morsels slice; build-side charges land in `stats` here, exactly
-  /// once per fragment, matching ExecuteNodeLocal's accounting.
+  /// once per fragment.
   static Result<NodeLocalKernel> Prepare(
       const PhysicalNode& node,
       std::shared_ptr<const RelationSchema> left_schema,

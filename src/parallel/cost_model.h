@@ -9,12 +9,13 @@ namespace txmod::parallel {
 
 /// Deterministic cost model of the simulated POOMA multiprocessor [22].
 ///
-/// Kept as the opt-in *simulate* mode next to the real threaded runtime:
-/// the simulated makespan is a deterministic function of the data alone,
-/// so the determinism suite can diff threaded runs against it, and the
-/// scaling experiments keep a machine-independent series. Every parallel
-/// operator phase records per-node local work and inter-node transfers,
-/// and the simulated makespan is
+/// Charged next to the real pool runtime: the simulated makespan is a
+/// deterministic function of the data alone — the same for any worker
+/// count, morsel size, or steal order — so the determinism suite can pin
+/// it across pools, and the scaling experiments keep a
+/// machine-independent series. Every parallel operator phase records
+/// per-node local work and inter-node transfers, and the simulated
+/// makespan is
 ///
 ///   Σ_phases ( max_node(local_tuples(node)) · per_tuple_local
 ///              + transferred_tuples/num_nodes · per_tuple_comm
@@ -31,9 +32,7 @@ struct CostModel {
 };
 
 /// One recorded operator phase: the simulated charge next to the wall
-/// clock actually measured on this host. `wall_us` is 0 in simulate mode
-/// (phases run inline; only the model parallelizes them) and measured
-/// around the pool phase in threaded mode.
+/// clock actually measured around the pool phase on this host.
 struct PhaseTiming {
   const char* label = "phase";
   double simulated_us = 0;
@@ -45,8 +44,8 @@ struct PhaseTiming {
 
 /// Work accounting for one parallel execution: the simulated POOMA
 /// makespan (unchanged math, pinned by the cost tests) plus per-phase
-/// measured wall-clock timings and exchange-queue traffic from the
-/// threaded runtime.
+/// measured wall-clock timings and exchange-queue traffic from the pool
+/// runtime.
 class ParallelStats {
  public:
   explicit ParallelStats(int num_nodes = 1)
@@ -61,8 +60,8 @@ class ParallelStats {
   }
 
   /// AddPhase plus the phase's label and measured wall-clock duration.
-  /// The simulated charge is computed identically in both modes — it
-  /// depends only on the tuple counts, never on the real timing.
+  /// The simulated charge depends only on the tuple counts, never on the
+  /// real timing.
   void AddPhaseTimed(const char* label, const std::vector<uint64_t>& local,
                      uint64_t transferred, uint64_t messages,
                      const CostModel& model, double wall_us) {
@@ -82,12 +81,12 @@ class ParallelStats {
         PhaseTiming{label, sim, wall_us, max_local, transferred, messages});
   }
 
-  /// Real exchange-queue batches moved during threaded redistribution
-  /// (the measured counterpart of the simulated `messages`).
+  /// Real exchange-queue batches moved during redistribution and
+  /// broadcast (the measured counterpart of the simulated `messages`).
   void AddExchangeBatches(uint64_t batches) { exchange_batches_ += batches; }
 
   double simulated_us() const { return simulated_us_; }
-  /// Measured wall-clock total across phases; 0 in simulate mode.
+  /// Measured wall-clock total across phases.
   double measured_us() const { return measured_us_; }
   uint64_t tuples_transferred() const { return tuples_transferred_; }
   uint64_t messages() const { return messages_; }

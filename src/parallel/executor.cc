@@ -1,9 +1,8 @@
 #include "src/parallel/executor.h"
 
+#include <algorithm>
 #include <chrono>
-#include <functional>
 #include <optional>
-#include <thread>
 #include <utility>
 
 #include "src/algebra/physical_plan.h"
@@ -59,6 +58,12 @@ std::vector<Attribute> ConcatAttrs(const RelationSchema& a,
 /// size_t. One named conversion point instead of a cast per call site.
 constexpr std::size_t U(int node) { return static_cast<std::size_t>(node); }
 
+/// Tuples per batch a redistribution producer pushes through an
+/// ExchangeQueue, and each queue's capacity in batches (the bound is soft
+/// until the consumer is scheduled; see ExchangeQueue).
+constexpr std::size_t kExchangeBatchTuples = 256;
+constexpr std::size_t kExchangeCapacity = 64;
+
 /// Wall clock around one operator phase (the measured side of
 /// ParallelStats, next to the simulated makespan).
 class PhaseTimer {
@@ -75,10 +80,6 @@ class PhaseTimer {
 };
 
 }  // namespace
-
-bool DefaultUseThreads() {
-  return std::thread::hardware_concurrency() > 1;
-}
 
 // ---------------------------------------------------------------------------
 // Implementation: one Impl per transaction execution.
@@ -170,7 +171,7 @@ class ParallelExecutor::Impl {
     }
     result_.stats.AddPhaseTimed("insert", local, transferred,
                                 transferred > 0 ? 1 : 0,
-                                options_.cost_model, Wall(timer));
+                                options_.cost_model, timer.us());
     return Status::OK();
   }
 
@@ -193,7 +194,7 @@ class ParallelExecutor::Impl {
     }
     result_.stats.AddPhaseTimed("delete", local, transferred,
                                 transferred > 0 ? 1 : 0,
-                                options_.cost_model, Wall(timer));
+                                options_.cost_model, timer.us());
     return Status::OK();
   }
 
@@ -204,33 +205,39 @@ class ParallelExecutor::Impl {
     const PhaseTimer timer;
     uint64_t transferred = 0;
     std::vector<uint64_t> local(width_, 0);
+    // Delete-plus-insert semantics, as in the serial engine: select on
+    // every fragment before applying anything, so a tuple re-routed to a
+    // later fragment is not selected (and updated) a second time there.
+    std::vector<std::pair<std::size_t, Tuple>> selected;
     for (std::size_t node = 0; node < width_; ++node) {
-      std::vector<Tuple> selected;
       for (const Tuple& t : target->fragments[node]) {
         TXMOD_ASSIGN_OR_RETURN(bool match,
                                stmt.predicate.EvalPredicate(&t, nullptr));
-        if (match) selected.push_back(t);
+        if (match) selected.emplace_back(node, t);
       }
       local[node] += target->fragments[node].size();
-      for (const Tuple& old_tuple : selected) {
-        Tuple new_tuple = old_tuple;
-        for (const algebra::UpdateSet& u : stmt.sets) {
-          TXMOD_ASSIGN_OR_RETURN(Value v,
-                                 u.expr.EvalValue(&old_tuple, nullptr));
-          new_tuple.at(U(u.attr)) = std::move(v);
+    }
+    for (const auto& [node, old_tuple] : selected) {
+      Tuple new_tuple = old_tuple;
+      for (const algebra::UpdateSet& u : stmt.sets) {
+        TXMOD_ASSIGN_OR_RETURN(Value v, u.expr.EvalValue(&old_tuple, nullptr));
+        if (u.attr < 0 || U(u.attr) >= new_tuple.arity()) {
+          return Status::InvalidArgument(
+              StrCat("update of ", stmt.target, ": attribute #", u.attr,
+                     " out of range"));
         }
-        TXMOD_RETURN_IF_ERROR(schema.CheckTuple(new_tuple));
-        new_tuple = schema.CoerceTuple(std::move(new_tuple));
-        ApplyDelete(stmt.target, target, node, old_tuple);
-        const std::size_t dst =
-            U(FragmentOf(new_tuple, target->scheme, nodes_));
-        if (dst != node) ++transferred;
-        ApplyInsert(stmt.target, target, dst, std::move(new_tuple));
+        new_tuple.at(U(u.attr)) = std::move(v);
       }
+      TXMOD_RETURN_IF_ERROR(schema.CheckTuple(new_tuple));
+      new_tuple = schema.CoerceTuple(std::move(new_tuple));
+      ApplyDelete(stmt.target, target, node, old_tuple);
+      const std::size_t dst = U(FragmentOf(new_tuple, target->scheme, nodes_));
+      if (dst != node) ++transferred;
+      ApplyInsert(stmt.target, target, dst, std::move(new_tuple));
     }
     result_.stats.AddPhaseTimed("update", local, transferred,
                                 transferred > 0 ? 1 : 0,
-                                options_.cost_model, Wall(timer));
+                                options_.cost_model, timer.us());
     return Status::OK();
   }
 
@@ -287,13 +294,12 @@ class ParallelExecutor::Impl {
   /// statement *shape* and reused under this statement's constant binding
   /// — this executor decides *where* each operator's work happens
   /// (alignment, redistribution, broadcast — charged to the cost model),
-  /// and the shared fragment-local kernels (algebra::ExecuteNodeLocal /
-  /// algebra::NodeLocalKernel) decide *how* a fragment's tuples are
-  /// joined, filtered, and projected. The distribution decisions ride
-  /// with the cached tree: redistribution keys and the
-  /// partition-vs-broadcast choice are read off the plan nodes'
-  /// equality-key metadata, so a cache hit skips re-deriving them as
-  /// well.
+  /// and the shared fragment-local kernel (algebra::NodeLocalKernel)
+  /// decides *how* a fragment's tuples are joined, filtered, and
+  /// projected. The distribution decisions ride with the cached tree:
+  /// redistribution keys and the partition-vs-broadcast choice are read
+  /// off the plan nodes' equality-key metadata, so a cache hit skips
+  /// re-deriving them as well.
   Result<FragRel> EvalExpr(const RelExpr& e) {
     if (plan_cache_ == nullptr || plan_cache_->shape_capacity() == 0) {
       // Reference mode: one-shot compile of the statement's own tree
@@ -422,31 +428,27 @@ class ParallelExecutor::Impl {
 
   // --- phase machinery -------------------------------------------------------
 
-  /// Wall-clock charge for a phase: measured in threaded mode, 0 in
-  /// simulate mode (inline phases keep the stats fully deterministic).
-  double Wall(const PhaseTimer& timer) const {
-    return pool_ != nullptr ? timer.us() : 0.0;
-  }
-
   /// Per-phase steal seed: distinct per phase so interleavings vary
   /// across phases, deterministic per (options seed, phase ordinal).
   uint64_t PhaseSeed() {
     return options_.steal_seed * 0x9e3779b97f4a7c15ULL + phase_ordinal_++;
   }
 
-  /// One fragment-local operator phase through the shared kernels.
+  std::size_t MorselSize() const {
+    return options_.morsel_tuples > 0 ? options_.morsel_tuples : 1;
+  }
+
+  /// One fragment-local operator phase through the shared kernel.
   ///
-  /// Simulate mode runs whole fragments inline (ExecuteNodeLocal).
-  /// Threaded mode morselizes: each shard's input tuples are sliced into
-  /// fixed-size pointer runs queued on the shard's work queue; the pool
-  /// executes them with work stealing, each morsel writing its own output
-  /// buffer and EvalStats (merged afterward in deterministic shard/morsel
-  /// order). Union nodes feed both sides' tuples as morsels; the other
-  /// operators morselize the left side with the right fragment borrowed
-  /// (hash-join builds happen once per shard in a preparation step).
-  /// Because fragment results are set-semantics Relations, morsel
-  /// boundaries, worker count, and steal order cannot change the merged
-  /// outcome — final states are identical across modes.
+  /// Each shard's input tuples are sliced into fixed-size pointer runs
+  /// (morsels) queued on the shard's work queue; the pool executes them
+  /// with work stealing, each morsel writing its own output buffer and
+  /// EvalStats (merged afterward in deterministic shard/morsel order).
+  /// Union nodes feed both sides' tuples as morsels; the other operators
+  /// morselize the left side with the right fragment borrowed (hash-join
+  /// builds happen once per shard in a preparation step). Because
+  /// fragment results are set-semantics Relations, morsel boundaries,
+  /// worker count, and steal order cannot change the merged outcome.
   Result<FragRel> RunKernelPhase(const char* label, const PhysicalNode& n,
                                  const FragRel& l, const FragRel* r,
                                  Alignment align, int attr,
@@ -462,28 +464,7 @@ class ParallelExecutor::Impl {
           l.frags[i].size() + (r != nullptr ? r->frags[i].size() : 0);
     }
     const PhaseTimer timer;
-    if (pool_ == nullptr) {
-      std::vector<algebra::EvalStats> node_stats(width_);
-      for (std::size_t i = 0; i < width_; ++i) {
-        TXMOD_ASSIGN_OR_RETURN(
-            out.frags[i],
-            algebra::ExecuteNodeLocal(n, l.frags[i],
-                                      r != nullptr ? &r->frags[i] : nullptr,
-                                      &node_stats[i], cur_params_));
-      }
-      MergeNodeStats(node_stats);
-    } else {
-      TXMOD_RETURN_IF_ERROR(MorselPhase(n, l, r, &out));
-    }
-    result_.stats.AddPhaseTimed(label, scanned, 0, 0, options_.cost_model,
-                                Wall(timer));
-    return out;
-  }
-
-  Status MorselPhase(const PhysicalNode& n, const FragRel& l,
-                     const FragRel* r, FragRel* out) {
-    const std::size_t msize =
-        options_.morsel_tuples > 0 ? options_.morsel_tuples : 1;
+    const std::size_t msize = MorselSize();
     const bool union_op = n.op == PhysOpKind::kUnion;
     struct Shard {
       std::optional<algebra::NodeLocalKernel> kernel;
@@ -571,7 +552,7 @@ class ParallelExecutor::Impl {
       plan.queues.resize(width_);
       for (std::size_t i = 0; i < width_; ++i) {
         Shard& sh = shards[i];
-        Relation* dst = &out->frags[i];
+        Relation* dst = &out.frags[i];
         plan.queues[i].push_back([&sh, dst] {
           *dst = Relation(sh.kernel->output_schema());
           for (std::vector<Tuple>& mo : sh.morsel_out) {
@@ -581,17 +562,83 @@ class ParallelExecutor::Impl {
       }
       pool_->Run(std::move(plan));
     }
-    return Status::OK();
+    result_.stats.AddPhaseTimed(label, scanned, 0, 0, options_.cost_model,
+                                timer.us());
+    return out;
+  }
+
+  /// One producer task of an exchange: a morsel-sized slice of a source
+  /// shard's tuples, plus the tuples it routed to each destination.
+  struct Producer {
+    std::size_t src = 0;
+    const Tuple* const* base = nullptr;
+    std::size_t count = 0;
+    std::vector<uint64_t> sent;  // per destination
+  };
+  using Queues = std::vector<std::unique_ptr<ExchangeQueue>>;
+
+  /// The data path shared by redistribution and broadcast: moves `in`'s
+  /// tuples into `out->frags` through bounded per-destination
+  /// ExchangeQueues. Every morsel-sized producer task, queued on its
+  /// source shard, runs `send(producer, queues)` to push its batches; one
+  /// consumer per destination runs as a phase follower (see ExchangeQueue
+  /// for the deadlock-freedom contract). Returns the producers with the
+  /// per-destination tallies `send` recorded.
+  template <typename SendFn>
+  std::vector<Producer> Exchange(const FragRel& in, FragRel* out,
+                                 const SendFn& send) {
+    const std::size_t msize = MorselSize();
+    std::vector<std::vector<const Tuple*>> inputs(width_);
+    std::vector<Producer> producers;
+    for (std::size_t src = 0; src < width_; ++src) {
+      inputs[src].reserve(in.frags[src].size());
+      for (const Tuple& t : in.frags[src]) inputs[src].push_back(&t);
+      for (std::size_t off = 0; off < inputs[src].size(); off += msize) {
+        Producer p;
+        p.src = src;
+        p.base = inputs[src].data() + off;
+        p.count = std::min(msize, inputs[src].size() - off);
+        p.sent.assign(width_, 0);
+        producers.push_back(std::move(p));
+      }
+    }
+    Queues queues;
+    queues.reserve(width_);
+    for (std::size_t dst = 0; dst < width_; ++dst) {
+      queues.push_back(
+          std::make_unique<ExchangeQueue>(kExchangeCapacity, producers.size()));
+    }
+    PhasePlan plan;
+    plan.steal_seed = PhaseSeed();
+    plan.queues.resize(width_);
+    for (Producer& p : producers) {
+      plan.queues[p.src].push_back([&p, &queues, &send] {
+        send(p, queues);
+        for (const auto& q : queues) q->ProducerDone();
+      });
+    }
+    for (std::size_t dst = 0; dst < width_; ++dst) {
+      Relation* target = &out->frags[dst];
+      ExchangeQueue* q = queues[dst].get();
+      plan.followers.push_back([target, q] {
+        std::vector<Tuple> b;
+        while (q->Pop(&b)) {
+          for (Tuple& t : b) target->Insert(std::move(t));
+        }
+      });
+    }
+    pool_->Run(std::move(plan));
+    uint64_t batches = 0;
+    for (const auto& q : queues) batches += q->batches();
+    result_.stats.AddExchangeBatches(batches);
+    return producers;
   }
 
   /// One redistribution phase: every input tuple moves to the shard
-  /// `route` names. Simulate mode routes inline; threaded mode runs
-  /// morselized producer tasks that batch tuples into per-destination
-  /// ExchangeQueues, with one consumer per destination scheduled as a
-  /// phase follower (see ExchangeQueue for the deadlock-freedom
-  /// contract). Cost-model charges (transfers, messages) are computed
-  /// from the deterministic per-(src,dst) tallies in both modes, so the
-  /// simulated makespan never depends on batching or timing.
+  /// `route` names, batched per destination. Cost-model charges
+  /// (transfers, messages) are computed from the deterministic
+  /// per-producer tallies, so the simulated makespan never depends on
+  /// batching, timing, or the pool.
   template <typename RouteFn>
   FragRel ExchangePhase(const char* label, const FragRel& in, RouteFn route,
                         Alignment align, int attr, bool maybe_dup,
@@ -603,96 +650,32 @@ class ParallelExecutor::Impl {
     out.maybe_duplicated = maybe_dup;
     std::vector<uint64_t> scanned(width_, 0);
     for (std::size_t i = 0; i < width_; ++i) scanned[i] = in.frags[i].size();
-    uint64_t transferred = 0;
-    std::vector<std::vector<bool>> pair_used(
-        width_, std::vector<bool>(width_, false));
     const PhaseTimer timer;
-    if (pool_ == nullptr) {
-      for (std::size_t src = 0; src < width_; ++src) {
-        for (const Tuple& t : in.frags[src]) {
-          const std::size_t dst = route(t);
-          if (dst != src) {
-            ++transferred;
-            pair_used[src][dst] = true;
-          }
-          out.frags[dst].Insert(t);
-        }
-      }
-    } else {
-      const std::size_t msize =
-          options_.morsel_tuples > 0 ? options_.morsel_tuples : 1;
-      const std::size_t batch = options_.exchange_batch_tuples > 0
-                                    ? options_.exchange_batch_tuples
-                                    : 1;
-      struct Producer {
-        std::size_t src = 0;
-        const Tuple* const* base = nullptr;
-        std::size_t count = 0;
-        std::vector<uint64_t> sent;  // per destination
-      };
-      std::vector<std::vector<const Tuple*>> inputs(width_);
-      std::vector<Producer> producers;
-      for (std::size_t src = 0; src < width_; ++src) {
-        inputs[src].reserve(in.frags[src].size());
-        for (const Tuple& t : in.frags[src]) inputs[src].push_back(&t);
-        for (std::size_t off = 0; off < inputs[src].size(); off += msize) {
-          Producer p;
-          p.src = src;
-          p.base = inputs[src].data() + off;
-          p.count = std::min(msize, inputs[src].size() - off);
-          p.sent.assign(width_, 0);
-          producers.push_back(std::move(p));
-        }
-      }
-      std::vector<std::unique_ptr<ExchangeQueue>> queues;
-      queues.reserve(width_);
-      for (std::size_t dst = 0; dst < width_; ++dst) {
-        queues.push_back(std::make_unique<ExchangeQueue>(
-            options_.exchange_capacity, producers.size()));
-      }
-      PhasePlan plan;
-      plan.steal_seed = PhaseSeed();
-      plan.queues.resize(width_);
-      for (Producer& p : producers) {
-        Producer* pp = &p;
-        plan.queues[p.src].push_back([pp, &queues, route, batch, this] {
+    const std::vector<Producer> producers = Exchange(
+        in, &out, [&route, this](Producer& p, const Queues& queues) {
           std::vector<std::vector<Tuple>> bufs(width_);
-          for (std::size_t k = 0; k < pp->count; ++k) {
-            const Tuple& t = *pp->base[k];
+          for (std::size_t k = 0; k < p.count; ++k) {
+            const Tuple& t = *p.base[k];
             const std::size_t dst = route(t);
-            ++pp->sent[dst];
+            ++p.sent[dst];
             bufs[dst].push_back(t);
-            if (bufs[dst].size() >= batch) {
+            if (bufs[dst].size() >= kExchangeBatchTuples) {
               queues[dst]->Push(std::move(bufs[dst]));
               bufs[dst] = {};
             }
           }
           for (std::size_t dst = 0; dst < width_; ++dst) {
             if (!bufs[dst].empty()) queues[dst]->Push(std::move(bufs[dst]));
-            queues[dst]->ProducerDone();
           }
         });
-      }
+    uint64_t transferred = 0;
+    std::vector<std::vector<bool>> pair_used(
+        width_, std::vector<bool>(width_, false));
+    for (const Producer& p : producers) {
       for (std::size_t dst = 0; dst < width_; ++dst) {
-        Relation* target = &out.frags[dst];
-        ExchangeQueue* q = queues[dst].get();
-        plan.followers.push_back([target, q] {
-          std::vector<Tuple> b;
-          while (q->Pop(&b)) {
-            for (Tuple& t : b) target->Insert(std::move(t));
-          }
-        });
-      }
-      pool_->Run(std::move(plan));
-      uint64_t batches = 0;
-      for (const auto& q : queues) batches += q->batches();
-      result_.stats.AddExchangeBatches(batches);
-      for (const Producer& p : producers) {
-        for (std::size_t dst = 0; dst < width_; ++dst) {
-          if (dst == p.src || p.sent[dst] == 0) continue;
-          transferred += p.sent[dst];
-          pair_used[p.src][dst] = true;
-        }
+        if (dst == p.src || p.sent[dst] == 0) continue;
+        transferred += p.sent[dst];
+        pair_used[p.src][dst] = true;
       }
     }
     uint64_t messages = 0;
@@ -706,7 +689,7 @@ class ParallelExecutor::Impl {
       messages = transferred > 0 ? 1 : 0;
     }
     result_.stats.AddPhaseTimed(label, scanned, transferred, messages,
-                                options_.cost_model, Wall(timer));
+                                options_.cost_model, timer.us());
     return out;
   }
 
@@ -734,81 +717,24 @@ class ParallelExecutor::Impl {
   }
 
   /// Replicates every right-side tuple to every node (join predicates
-  /// without equality conjuncts). Threaded mode pushes each producer
-  /// batch into every destination's ExchangeQueue.
+  /// without equality conjuncts): each producer pushes its whole slice as
+  /// one batch into every destination's queue. The charge is the model's
+  /// all-to-all broadcast: every tuple to the width - 1 other nodes.
   FragRel BroadcastAll(const FragRel& r, std::size_t right_total) {
     FragRel bc;
     bc.frags.assign(width_, Relation(r.frags[0].schema_ptr()));
     bc.alignment = Alignment::kNone;
     const PhaseTimer timer;
-    if (pool_ == nullptr) {
-      for (std::size_t i = 0; i < width_; ++i) {
-        for (std::size_t src = 0; src < width_; ++src) {
-          for (const Tuple& t : r.frags[src]) bc.frags[i].Insert(t);
-        }
-      }
-    } else {
-      const std::size_t msize =
-          options_.morsel_tuples > 0 ? options_.morsel_tuples : 1;
-      struct Producer {
-        const Tuple* const* base = nullptr;
-        std::size_t count = 0;
-      };
-      std::vector<std::vector<const Tuple*>> inputs(width_);
-      std::vector<Producer> producers;
-      std::vector<std::size_t> producer_src;
-      for (std::size_t src = 0; src < width_; ++src) {
-        inputs[src].reserve(r.frags[src].size());
-        for (const Tuple& t : r.frags[src]) inputs[src].push_back(&t);
-        for (std::size_t off = 0; off < inputs[src].size(); off += msize) {
-          producers.push_back(
-              Producer{inputs[src].data() + off,
-                       std::min(msize, inputs[src].size() - off)});
-          producer_src.push_back(src);
-        }
-      }
-      std::vector<std::unique_ptr<ExchangeQueue>> queues;
-      queues.reserve(width_);
-      for (std::size_t dst = 0; dst < width_; ++dst) {
-        queues.push_back(std::make_unique<ExchangeQueue>(
-            options_.exchange_capacity, producers.size()));
-      }
-      PhasePlan plan;
-      plan.steal_seed = PhaseSeed();
-      plan.queues.resize(width_);
-      for (std::size_t pi = 0; pi < producers.size(); ++pi) {
-        Producer* pp = &producers[pi];
-        plan.queues[producer_src[pi]].push_back([pp, &queues, this] {
-          std::vector<Tuple> buf;
-          buf.reserve(pp->count);
-          for (std::size_t k = 0; k < pp->count; ++k) {
-            buf.push_back(*pp->base[k]);
-          }
-          for (std::size_t dst = 0; dst < width_; ++dst) {
-            if (!buf.empty()) queues[dst]->Push(buf);
-            queues[dst]->ProducerDone();
-          }
-        });
-      }
-      for (std::size_t dst = 0; dst < width_; ++dst) {
-        Relation* target = &bc.frags[dst];
-        ExchangeQueue* q = queues[dst].get();
-        plan.followers.push_back([target, q] {
-          std::vector<Tuple> b;
-          while (q->Pop(&b)) {
-            for (Tuple& t : b) target->Insert(std::move(t));
-          }
-        });
-      }
-      pool_->Run(std::move(plan));
-      uint64_t batches = 0;
-      for (const auto& q : queues) batches += q->batches();
-      result_.stats.AddExchangeBatches(batches);
-    }
+    Exchange(r, &bc, [](const Producer& p, const Queues& queues) {
+      std::vector<Tuple> batch;
+      batch.reserve(p.count);
+      for (std::size_t k = 0; k < p.count; ++k) batch.push_back(*p.base[k]);
+      for (const auto& q : queues) q->Push(batch);
+    });
     result_.stats.AddPhaseTimed(
         "broadcast", std::vector<uint64_t>(width_, 0),
         static_cast<uint64_t>(right_total) * (width_ - 1),
-        width_ > 1 ? width_ - 1 : 0, options_.cost_model, Wall(timer));
+        width_ > 1 ? width_ - 1 : 0, options_.cost_model, timer.us());
     return bc;
   }
 
@@ -942,51 +868,41 @@ class ParallelExecutor::Impl {
 
     // Node-local partials through the shared aggregate kernel, merged at
     // the coordinator: one partial record per node crosses the
-    // interconnect. Fragment granularity in both modes (no morsels):
-    // partials then merge in the same order everywhere, so even
-    // floating-point sums cannot differ between modes or steal orders.
+    // interconnect. Fragment granularity (no morsels): partials then
+    // merge in the same order on every pool, so even floating-point sums
+    // cannot differ between worker counts or steal orders.
     std::vector<AggPartial> partials(width_);
     std::vector<uint64_t> scanned(width_);
     for (std::size_t i = 0; i < width_; ++i) scanned[i] = in.frags[i].size();
     std::vector<algebra::EvalStats> node_stats(width_);
     std::vector<Status> statuses(width_, Status::OK());
     const PhaseTimer timer;
-    if (pool_ == nullptr) {
-      for (std::size_t i = 0; i < width_; ++i) {
-        Result<AggPartial> p =
-            algebra::AggregateLocal(n, in.frags[i], &node_stats[i]);
+    PhasePlan plan;
+    plan.steal_seed = PhaseSeed();
+    plan.queues.resize(width_);
+    for (std::size_t i = 0; i < width_; ++i) {
+      const Relation* frag = &in.frags[i];
+      AggPartial* partial = &partials[i];
+      algebra::EvalStats* stats = &node_stats[i];
+      Status* status = &statuses[i];
+      plan.queues[i].push_back([&n, frag, partial, stats, status] {
+        Result<AggPartial> p = algebra::AggregateLocal(n, *frag, stats);
         if (p.ok()) {
-          partials[i] = std::move(p).value();
+          *partial = std::move(p).value();
         } else {
-          statuses[i] = p.status();
+          *status = p.status();
         }
-      }
-    } else {
-      PhasePlan plan;
-      plan.steal_seed = PhaseSeed();
-      plan.queues.resize(width_);
-      for (std::size_t i = 0; i < width_; ++i) {
-        const Relation* frag = &in.frags[i];
-        AggPartial* partial = &partials[i];
-        algebra::EvalStats* stats = &node_stats[i];
-        Status* status = &statuses[i];
-        plan.queues[i].push_back([&n, frag, partial, stats, status] {
-          Result<AggPartial> p = algebra::AggregateLocal(n, *frag, stats);
-          if (p.ok()) {
-            *partial = std::move(p).value();
-          } else {
-            *status = p.status();
-          }
-        });
-      }
-      pool_->Run(std::move(plan));
+      });
     }
+    pool_->Run(std::move(plan));
     for (const Status& st : statuses) {
       TXMOD_RETURN_IF_ERROR(st);
     }
-    MergeNodeStats(node_stats);
+    // Per-node counters fold only after the phase completes, so no
+    // counter is ever shared across threads.
+    for (const algebra::EvalStats& s : node_stats) result_.eval_stats.Add(s);
     result_.stats.AddPhaseTimed("aggregate", scanned, 0, 0,
-                                options_.cost_model, Wall(timer));
+                                options_.cost_model, timer.us());
     result_.stats.AddPhaseTimed("aggregate-merge",
                                 std::vector<uint64_t>(width_, 0),
                                 static_cast<uint64_t>(width_ - 1),
@@ -1008,26 +924,16 @@ class ParallelExecutor::Impl {
     return out;
   }
 
-  /// Folds per-node kernel counters into the transaction's EvalStats.
-  /// Kernels write disjoint per-node records during a threaded phase; the
-  /// merge happens after the pool phase completes, so no counter is ever
-  /// shared across threads.
-  void MergeNodeStats(const std::vector<algebra::EvalStats>& node_stats) {
-    for (const algebra::EvalStats& s : node_stats) {
-      result_.eval_stats.Add(s);
-    }
-  }
-
   ParallelDatabase* db_;
   const ParallelOptions& options_;
   algebra::PlanCache* plan_cache_;
-  ThreadPool* pool_;         // null = simulate mode (inline phases)
+  ThreadPool* pool_;         // every phase runs here
   const int nodes_;          // node count for the fragmentation API
   const std::size_t width_;  // the same count, as a container extent
   ParallelTxnResult result_;
   uint64_t phase_ordinal_ = 0;  // feeds PhaseSeed
   /// Binding vector of the statement currently being evaluated (null in
-  /// reference mode); read-only during threaded phases.
+  /// reference mode); read-only during pool phases.
   const std::vector<Value>* cur_params_ = nullptr;
   std::map<std::string, FragRel> temps_;
   std::map<std::string, NodeDiff> diffs_;
@@ -1037,15 +943,13 @@ ParallelExecutor::ParallelExecutor(ParallelDatabase* db,
                                    ParallelOptions options)
     : db_(db), options_(std::move(options)) {
   plan_cache_.set_shape_capacity(options_.plan_cache_capacity);
-  if (options_.use_threads) {
-    if (options_.pool != nullptr) {
-      pool_ = options_.pool;
-    } else if (options_.num_workers > 0) {
-      owned_pool_ = std::make_unique<ThreadPool>(options_.num_workers);
-      pool_ = owned_pool_.get();
-    } else {
-      pool_ = &ThreadPool::Shared();
-    }
+  if (options_.pool != nullptr) {
+    pool_ = options_.pool;
+  } else if (options_.num_workers > 0) {
+    owned_pool_ = std::make_unique<ThreadPool>(options_.num_workers);
+    pool_ = owned_pool_.get();
+  } else {
+    pool_ = &ThreadPool::Shared();
   }
 }
 

@@ -15,36 +15,21 @@
 
 namespace txmod::parallel {
 
-/// True when this host has more than one hardware thread — the default
-/// for ParallelOptions::use_threads.
-bool DefaultUseThreads();
-
 struct ParallelOptions {
   CostModel cost_model;
-  /// Execute operator phases on the persistent worker pool: morselized
-  /// fragment-local kernels with work stealing, and real exchange-queue
-  /// redistribution. The default whenever the host has more than one
-  /// hardware thread. false = *simulate* mode: every phase runs inline
-  /// on the caller and parallelism exists only in the cost model's
-  /// simulated makespan — the deterministic reference the determinism
-  /// suite diffs threaded runs against (final states are identical in
-  /// both modes).
-  bool use_threads = DefaultUseThreads();
-  /// Worker threads for threaded phases. 0 = the process-wide shared
+  /// Worker threads for the operator phases. 0 = the process-wide shared
   /// pool (ThreadPool::DefaultWorkerCount(): the TXMOD_PARALLEL_WORKERS
   /// env override, else hardware_concurrency). n > 0 = a pool of exactly
   /// n threads owned by this executor. Ignored when `pool` is set.
   std::size_t num_workers = 0;
-  /// External pool override (not owned; must outlive the executor).
+  /// External pool override (not owned; must outlive the executor). A
+  /// caller-only pool (ThreadPool(0)) runs every phase on the calling
+  /// thread: the deterministic single-threaded configuration the oracle
+  /// tests and the simulated benchmark series use.
   ThreadPool* pool = nullptr;
   /// Tuples per morsel: the unit of work the pool's queues hold and
   /// workers steal. Smaller = better balance, more scheduling overhead.
   std::size_t morsel_tuples = 1024;
-  /// Tuples per exchange batch pushed through a redistribution queue.
-  std::size_t exchange_batch_tuples = 256;
-  /// Exchange-queue capacity in batches (the bound is soft until the
-  /// consumer is scheduled; see ExchangeQueue).
-  std::size_t exchange_capacity = 64;
   /// Perturbs each phase's steal order; the determinism tests sweep it
   /// to pin that steal interleaving cannot change final states.
   uint64_t steal_seed = 0;
@@ -75,9 +60,8 @@ struct ParallelTxnResult {
 /// (algebra::PhysicalPlan); this executor owns only the *distribution*
 /// decisions — alignment tracking, redistribution, broadcast, cost-model
 /// charging — while each fragment's tuples run through the shared
-/// fragment-local operator kernels (algebra::ExecuteNodeLocal and its
-/// morsel-granular form algebra::NodeLocalKernel), so operator semantics
-/// cannot diverge between the two engines:
+/// fragment-local operator kernel (algebra::NodeLocalKernel), so
+/// operator semantics cannot diverge between the two engines:
 ///
 ///  * selections/projections run fragment-local;
 ///  * equality joins, semijoins, antijoins run fragment-local as *hash
@@ -93,19 +77,19 @@ struct ParallelTxnResult {
 ///  * updates are routed to the owning fragment; alarm statements abort
 ///    the whole transaction if any node reports violations.
 ///
-/// In threaded mode (the default on multi-core hosts) each fragment-local
-/// phase is morselized: shard inputs are sliced into fixed-size runs of
-/// tuple pointers queued per shard on a persistent ThreadPool, idle
-/// workers steal morsels from other shards' queues, and per-morsel
-/// outputs merge into set-semantics fragment results (so morsel
-/// boundaries, worker count, and steal order cannot change final
-/// states). Redistribution and broadcast move tuples through bounded
-/// ExchangeQueues — per-destination MPSC batch queues with the consumers
-/// scheduled as phase followers. Simulate mode (use_threads = false)
-/// runs the same kernels inline and keeps only the cost model's
-/// simulated makespan; ParallelStats reports measured wall-clock phase
-/// timings next to the simulated numbers in both modes (wall ≈ 0 when
-/// inline).
+/// Every phase runs on a persistent ThreadPool. Fragment-local phases are
+/// morselized: shard inputs are sliced into fixed-size runs of tuple
+/// pointers queued per shard, idle workers steal morsels from other
+/// shards' queues, and per-morsel outputs merge into set-semantics
+/// fragment results (so morsel boundaries, worker count, and steal order
+/// cannot change final states). Redistribution and broadcast move tuples
+/// through bounded ExchangeQueues — per-destination MPSC batch queues
+/// with the consumers scheduled as phase followers. The cost model
+/// charges each phase from deterministic per-shard and per-producer
+/// tallies, so the simulated POOMA makespan is the same on any pool; a
+/// caller-only pool (ThreadPool(0)) gives a fully single-threaded run.
+/// ParallelStats reports measured wall-clock phase timings next to the
+/// simulated numbers.
 ///
 /// Statement expressions are compiled through a per-executor shape-keyed
 /// plan cache (algebra::PlanCache): repeated statement shapes — the same
@@ -131,16 +115,13 @@ class ParallelExecutor {
   /// This executor's plan cache (diagnostics: hit/miss/eviction totals).
   const algebra::PlanCache& plan_cache() const { return plan_cache_; }
 
-  /// The pool threaded phases run on; null in simulate mode.
-  ThreadPool* pool() const { return pool_; }
-
  private:
   class Impl;
   ParallelDatabase* db_;
   ParallelOptions options_;
   algebra::PlanCache plan_cache_;
   std::unique_ptr<ThreadPool> owned_pool_;  // when num_workers > 0
-  ThreadPool* pool_ = nullptr;              // null = simulate mode
+  ThreadPool* pool_ = nullptr;              // never null once constructed
 };
 
 }  // namespace txmod::parallel

@@ -1,3 +1,7 @@
+#include <set>
+#include <string>
+#include <vector>
+
 #include "gtest/gtest.h"
 #include "src/common/str_util.h"
 #include "src/algebra/parser.h"
@@ -71,10 +75,11 @@ TEST_P(ParallelTest, HashFragmentationColocatesEqualKeys) {
   }
 }
 
-/// Runs the same modified transaction serially and in parallel; both must
-/// agree on the outcome and the final state.
+/// Runs the same modified transaction serially and in parallel (on a
+/// caller-only pool, or on the shared worker pool); both must agree on the
+/// outcome and the final state.
 void ExpectParallelMatchesSerial(Database db, const Transaction& modified,
-                                 int nodes, bool use_threads = false) {
+                                 int nodes, bool caller_only = true) {
   // Serial execution.
   Database serial_db = db.Clone();
   auto serial = txn::ExecuteTransaction(modified, &serial_db);
@@ -84,8 +89,9 @@ void ExpectParallelMatchesSerial(Database db, const Transaction& modified,
   TXMOD_ASSERT_OK_AND_ASSIGN(
       ParallelDatabase pdb,
       ParallelDatabase::Partition(db, BeerSchemes(), nodes));
+  ThreadPool caller_pool(0);
   ParallelOptions options;
-  options.use_threads = use_threads;
+  if (caller_only) options.pool = &caller_pool;
   ParallelExecutor exec(&pdb, options);
   TXMOD_ASSERT_OK_AND_ASSIGN(ParallelTxnResult parallel,
                              exec.Execute(modified));
@@ -171,7 +177,29 @@ TEST_P(ParallelTest, ThreadedExecutionMatchesSerial) {
       "insert(beer, {(\"new\", \"ale\", \"heineken\", 6.0)});");
   TXMOD_ASSERT_OK_AND_ASSIGN(Transaction modified, ics.Modify(txn));
   ExpectParallelMatchesSerial(db_, modified, GetParam(),
-                              /*use_threads=*/true);
+                              /*caller_only=*/false);
+}
+
+TEST_P(ParallelTest, UpdateOfOutOfRangeAttributeIsInvalidArgument) {
+  TXMOD_ASSERT_OK_AND_ASSIGN(
+      ParallelDatabase pdb,
+      ParallelDatabase::Partition(db_, BeerSchemes(), GetParam()));
+  // The parser resolves attribute names, so an out-of-range index can
+  // only come from a hand-built statement.
+  Transaction txn =
+      ParseTxn("update(beer, alcohol > 0, alcohol := alcohol + 1);");
+  ASSERT_EQ(txn.program.statements.size(), 1u);
+  ASSERT_EQ(txn.program.statements[0].sets.size(), 1u);
+  txn.program.statements[0].sets[0].attr = 4;  // beer has arity 4
+  ThreadPool caller_pool(0);
+  ParallelOptions options;
+  options.pool = &caller_pool;
+  ParallelExecutor exec(&pdb, options);
+  auto r = exec.Execute(txn);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument)
+      << r.status().ToString();
+  EXPECT_TRUE(pdb.Merge().SameState(db_));
 }
 
 INSTANTIATE_TEST_SUITE_P(NodeCounts, ParallelTest,
@@ -243,6 +271,104 @@ TEST(ParallelCostTest, SimulatedMakespanShrinksWithNodes) {
     EXPECT_LT(r.stats.simulated_us(), previous)
         << nodes << " nodes not faster";
     previous = r.stats.simulated_us();
+  }
+}
+
+/// The simulated POOMA charges fold from deterministic per-shard and
+/// per-producer tallies, so they must not depend on the pool: one modified
+/// transaction — an equality-join check that redistributes, a
+/// non-equality join check that broadcasts, and an aggregate check — is
+/// charged identically on a caller-only pool and on 1, 2 and 4 workers,
+/// for every steal seed and morsel size, and leaves identical states.
+TEST(ParallelCostTest, SimulatedChargesAreIdenticalOnEveryPool) {
+  Database db = MakeBeerDatabase();
+  AddBrewery(&db, "heineken", "amsterdam", "nl");
+  AddBrewery(&db, "guinness", "dublin", "ie");
+  AddBrewery(&db, "lonely", "nowhere", "xx");
+  for (int i = 0; i < 40; ++i) {
+    AddBeer(&db, txmod::StrCat("beer", i), "lager",
+            i % 2 == 0 ? "heineken" : "guinness", 4.0 + (i % 5));
+  }
+  core::IntegritySubsystem ics(&db);
+  TXMOD_ASSERT_OK(ics.DefineConstraint(
+      "refint",
+      "forall x (x in beer implies exists y (y in brewery and "
+      "x.brewery = y.name))"));
+  TXMOD_ASSERT_OK(ics.DefineConstraint(
+      "spread",
+      "forall x (x in beer implies not exists y (y in beer and "
+      "y.alcohol > x.alcohol + 50))"));
+  TXMOD_ASSERT_OK(ics.DefineConstraint("capacity", "cnt(beer) <= 1000"));
+  algebra::AlgebraParser parser(&db.schema());
+  TXMOD_ASSERT_OK_AND_ASSIGN(
+      Transaction txn,
+      parser.ParseTransaction(
+          "insert(beer, {(\"new\", \"ale\", \"heineken\", 6.0)}); "
+          "delete(brewery, select[name = \"lonely\"](brewery));"));
+  TXMOD_ASSERT_OK_AND_ASSIGN(Transaction modified, ics.Modify(txn));
+  // beer on its key, not its foreign key: the refint join must
+  // redistribute beer on brewery.
+  const std::map<std::string, FragmentationScheme> schemes = {
+      {"beer", FragmentationScheme{FragmentationKind::kHash, 0}},
+      {"brewery", FragmentationScheme{FragmentationKind::kHash, 0}},
+  };
+
+  struct Run {
+    std::string label;
+    ParallelTxnResult result;
+    Database final_state;
+  };
+  std::vector<Run> runs;
+  ThreadPool caller_pool(0);
+  for (std::size_t workers : {0u, 1u, 2u, 4u}) {  // 0 = caller-only pool
+    for (uint64_t seed : {0ull, 424243ull}) {
+      for (std::size_t morsel : {3u, 1024u}) {
+        TXMOD_ASSERT_OK_AND_ASSIGN(
+            ParallelDatabase pdb,
+            ParallelDatabase::Partition(db, schemes, 4));
+        ParallelOptions options;
+        if (workers == 0) options.pool = &caller_pool;
+        options.num_workers = workers;
+        options.steal_seed = seed;
+        options.morsel_tuples = morsel;
+        ParallelExecutor exec(&pdb, options);
+        TXMOD_ASSERT_OK_AND_ASSIGN(ParallelTxnResult r,
+                                   exec.Execute(modified));
+        runs.push_back(Run{txmod::StrCat("workers=", workers, " seed=", seed,
+                                         " morsel=", morsel),
+                           std::move(r), pdb.Merge()});
+      }
+    }
+  }
+
+  const Run& ref = runs.front();
+  EXPECT_TRUE(ref.result.committed) << ref.result.abort_reason;
+  std::set<std::string> labels;
+  for (const PhaseTiming& p : ref.result.stats.phase_timings()) {
+    labels.insert(p.label);
+  }
+  EXPECT_EQ(labels.count("redistribute-attr"), 1u);
+  EXPECT_EQ(labels.count("broadcast"), 1u);
+  EXPECT_EQ(labels.count("aggregate"), 1u);
+  for (const Run& run : runs) {
+    SCOPED_TRACE(run.label);
+    const ParallelStats& a = ref.result.stats;
+    const ParallelStats& b = run.result.stats;
+    EXPECT_EQ(run.result.committed, ref.result.committed);
+    EXPECT_EQ(b.simulated_us(), a.simulated_us());
+    EXPECT_EQ(b.tuples_transferred(), a.tuples_transferred());
+    ASSERT_EQ(b.phase_timings().size(), a.phase_timings().size());
+    for (std::size_t i = 0; i < a.phase_timings().size(); ++i) {
+      const PhaseTiming& pa = a.phase_timings()[i];
+      const PhaseTiming& pb = b.phase_timings()[i];
+      SCOPED_TRACE(txmod::StrCat("phase ", i, " ", pa.label));
+      EXPECT_STREQ(pb.label, pa.label);
+      EXPECT_EQ(pb.simulated_us, pa.simulated_us);
+      EXPECT_EQ(pb.max_local, pa.max_local);
+      EXPECT_EQ(pb.transferred, pa.transferred);
+      EXPECT_EQ(pb.messages, pa.messages);
+    }
+    EXPECT_TRUE(run.final_state.SameState(ref.final_state));
   }
 }
 

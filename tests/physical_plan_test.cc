@@ -289,8 +289,21 @@ TEST(PhysicalPlanTest, FragmentLocalKernelMatchesSerialJoin) {
     TXMOD_ASSERT_OK_AND_ASSIGN(
         Relation right,
         PhysicalPlan::Compile(e->right()).value().Execute(ctx));
+    // One morsel over the whole left input; a union feeds both sides.
     TXMOD_ASSERT_OK_AND_ASSIGN(
-        Relation local, ExecuteNodeLocal(plan.root(), left, &right));
+        NodeLocalKernel kernel,
+        NodeLocalKernel::Prepare(plan.root(), left.schema_ptr(), &right,
+                                 nullptr));
+    std::vector<const Tuple*> input;
+    for (const Tuple& t : left) input.push_back(&t);
+    if (plan.root().op == PhysOpKind::kUnion) {
+      for (const Tuple& t : right) input.push_back(&t);
+    }
+    std::vector<Tuple> rows;
+    TXMOD_ASSERT_OK(
+        kernel.RunMorsel(input.data(), input.size(), &rows, nullptr));
+    Relation local(kernel.output_schema());
+    for (Tuple& t : rows) local.Insert(std::move(t));
     EXPECT_TRUE(local.SameTuples(serial));
   }
 }

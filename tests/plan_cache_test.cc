@@ -187,12 +187,12 @@ TEST(PlanCacheCoherenceTest, TinyCapacityEvictsAndStaysCoherent) {
 // ---------------------------------------------------------------------------
 // Parallel engine: a warm per-executor cache across many transactions vs
 // the reference mode (capacity 0: one-shot compiles), every node count,
-// threads on and off.
+// on a caller-only pool and on the shared worker pool.
 // ---------------------------------------------------------------------------
 
 struct ParallelParam {
   int nodes;
-  bool use_threads;
+  bool caller_only;  // every phase on the calling thread (ThreadPool(0))
 };
 
 class ParallelPlanCacheTest : public ::testing::TestWithParam<ParallelParam> {
@@ -218,12 +218,12 @@ TEST_P(ParallelPlanCacheTest, WarmCacheMatchesReferenceMode) {
       parallel::ParallelDatabase pdb_ref,
       parallel::ParallelDatabase::Partition(db, schemes, GetParam().nodes));
 
+  parallel::ThreadPool caller_only(0);
   parallel::ParallelOptions cached_options;
-  cached_options.use_threads = GetParam().use_threads;
+  if (GetParam().caller_only) cached_options.pool = &caller_only;
   parallel::ParallelExecutor exec_cached(&pdb_cached, cached_options);
 
-  parallel::ParallelOptions ref_options;
-  ref_options.use_threads = GetParam().use_threads;
+  parallel::ParallelOptions ref_options = cached_options;
   ref_options.plan_cache_capacity = 0;
   parallel::ParallelExecutor exec_ref(&pdb_ref, ref_options);
 
@@ -256,9 +256,9 @@ TEST_P(ParallelPlanCacheTest, WarmCacheMatchesReferenceMode) {
 
 INSTANTIATE_TEST_SUITE_P(
     Nodes, ParallelPlanCacheTest,
-    ::testing::Values(ParallelParam{1, false}, ParallelParam{2, false},
-                      ParallelParam{4, false}, ParallelParam{2, true},
-                      ParallelParam{4, true}));
+    ::testing::Values(ParallelParam{1, true}, ParallelParam{2, true},
+                      ParallelParam{4, true}, ParallelParam{2, false},
+                      ParallelParam{4, false}));
 
 // ---------------------------------------------------------------------------
 // Invalidation: rule definition/drop rebuilds the cache (shaped entries

@@ -2,7 +2,8 @@
 // enforcement substrate run the *same* physical operators since the
 // shared-plan refactor, so they must agree — exactly — on commit/abort
 // outcomes and final database states, for every workload, node count, and
-// threading mode. This test drives both engines through the paper's
+// pool (a caller-only pool, the shared pool, and 1/2/4/8 workers). This
+// test drives both engines through the paper's
 // beer/brewery example and through randomized key/fk transactions
 // (bench/workload.h's schema) and asserts equivalence after every
 // transaction.
@@ -30,11 +31,13 @@ using txmod::testing::MakeBeerDatabase;
 
 struct OracleParam {
   int nodes;
-  bool use_threads;
-  /// Threaded-mode knobs (ignored when use_threads is false): pool width
-  /// (0 = shared pool), steal-order perturbation, and morsel size — tiny
-  /// morsels force many work-stealing decisions per phase, so sweeping
-  /// seed × workers pins that interleaving cannot change final states.
+  /// Run every phase on the calling thread (ThreadPool(0)); `workers` is
+  /// then ignored.
+  bool caller_only;
+  /// Pool width (0 = shared pool), steal-order perturbation, and morsel
+  /// size — tiny morsels force many work-stealing decisions per phase, so
+  /// sweeping seed × workers pins that interleaving cannot change final
+  /// states.
   std::size_t workers = 0;
   uint64_t steal_seed = 0;
   std::size_t morsel_tuples = 1024;
@@ -51,8 +54,9 @@ void StepBothEngines(const Transaction& modified, Database* serial_db,
   auto serial = txn::ExecuteTransaction(modified, serial_db);
   ASSERT_TRUE(serial.ok()) << serial.status().ToString();
 
+  ThreadPool caller_only(0);
   ParallelOptions options;
-  options.use_threads = param.use_threads;
+  if (param.caller_only) options.pool = &caller_only;
   options.num_workers = param.workers;
   options.steal_seed = param.steal_seed;
   options.morsel_tuples = param.morsel_tuples;
@@ -120,6 +124,43 @@ TEST_P(OracleTest, BeerBreweryWorkloadAgrees) {
     TXMOD_ASSERT_OK_AND_ASSIGN(Transaction modified, ics.Modify(txn));
     StepBothEngines(modified, &serial_db, &pdb, GetParam(),
                     StrCat("beer workload #", i, ": ", workload[i]));
+  }
+}
+
+// ---------------------------------------------------------------------------
+// An update that rewrites the partitioning attribute moves tuples between
+// fragments; each selected tuple must still be updated exactly once
+// (delete-plus-insert semantics), including tuples re-routed to a
+// higher-numbered node.
+// ---------------------------------------------------------------------------
+
+TEST_P(OracleTest, UpdateOfPartitioningAttributeAgrees) {
+  Database db = MakeBeerDatabase();
+  AddBrewery(&db, "heineken", "amsterdam", "nl");
+  AddBrewery(&db, "guinness", "dublin", "ie");
+  for (int i = 0; i < 24; ++i) {
+    AddBeer(&db, StrCat("beer", i), "lager",
+            i % 2 == 0 ? "heineken" : "guinness", 4.0 + (i % 5));
+  }
+  const std::map<std::string, FragmentationScheme> schemes = {
+      {"beer", FragmentationScheme{FragmentationKind::kHash, 3}},
+      {"brewery", FragmentationScheme{FragmentationKind::kHash, 0}},
+  };
+  TXMOD_ASSERT_OK_AND_ASSIGN(
+      ParallelDatabase pdb,
+      ParallelDatabase::Partition(db, schemes, GetParam().nodes));
+  Database serial_db = db.Clone();
+  algebra::AlgebraParser parser(&db.schema());
+  const std::vector<std::string> workload = {
+      "update(beer, alcohol > 0, alcohol := alcohol + 100);",
+      "update(beer, alcohol > 105, alcohol := alcohol - 50, "
+      "type := \"ale\");",
+  };
+  for (std::size_t i = 0; i < workload.size(); ++i) {
+    TXMOD_ASSERT_OK_AND_ASSIGN(Transaction txn,
+                               parser.ParseTransaction(workload[i]));
+    StepBothEngines(txn, &serial_db, &pdb, GetParam(),
+                    StrCat("update #", i, ": ", workload[i]));
   }
 }
 
@@ -289,29 +330,29 @@ TEST(TxnManagerParallelChecksTest, AgreesWithSerialChecks) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    NodeCountsAndThreading, OracleTest,
-    ::testing::Values(OracleParam{1, false}, OracleParam{2, false},
-                      OracleParam{4, false}, OracleParam{8, false},
-                      OracleParam{2, true}, OracleParam{4, true},
-                      OracleParam{8, true}),
+    NodeCountsAndPools, OracleTest,
+    ::testing::Values(OracleParam{1, true}, OracleParam{2, true},
+                      OracleParam{4, true}, OracleParam{8, true},
+                      OracleParam{2, false}, OracleParam{4, false},
+                      OracleParam{8, false}),
     [](const ::testing::TestParamInfo<OracleParam>& param_info) {
       return StrCat(param_info.param.nodes, "nodes_",
-                    param_info.param.use_threads ? "threads" : "sequential");
+                    param_info.param.caller_only ? "caller" : "threads");
     });
 
-// Threaded determinism sweep: 1/2/4/8 workers × perturbed steal seeds,
+// Worker determinism sweep: 1/2/4/8 workers × perturbed steal seeds,
 // with tiny morsels so every phase schedules many stealable tasks. Final
-// states must match the serial engine (and hence simulate mode, covered
-// above) for every combination.
+// states must match the serial engine (and hence the caller-only pool,
+// covered above) for every combination.
 INSTANTIATE_TEST_SUITE_P(
     WorkerAndStealSweep, OracleTest,
-    ::testing::Values(OracleParam{4, true, 1, 1, 3},
-                      OracleParam{4, true, 2, 7, 3},
-                      OracleParam{4, true, 2, 1234567, 3},
-                      OracleParam{4, true, 4, 7, 3},
-                      OracleParam{4, true, 4, 99991, 1},
-                      OracleParam{8, true, 8, 7, 3},
-                      OracleParam{8, true, 8, 424243, 2}),
+    ::testing::Values(OracleParam{4, false, 1, 1, 3},
+                      OracleParam{4, false, 2, 7, 3},
+                      OracleParam{4, false, 2, 1234567, 3},
+                      OracleParam{4, false, 4, 7, 3},
+                      OracleParam{4, false, 4, 99991, 1},
+                      OracleParam{8, false, 8, 7, 3},
+                      OracleParam{8, false, 8, 424243, 2}),
     [](const ::testing::TestParamInfo<OracleParam>& param_info) {
       return StrCat(param_info.param.nodes, "nodes_w",
                     param_info.param.workers, "_seed",

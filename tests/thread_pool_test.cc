@@ -2,9 +2,10 @@
 // ThreadPool (phase queues, followers-after-queues ordering, caller
 // participation, env-sized defaults), the ExchangeQueue (MPSC batch
 // transfer, drain protocol, liveness-gated bound), and the
-// morsel-granular NodeLocalKernel (morselized execution must equal
-// whole-fragment ExecuteNodeLocal). The end-to-end determinism story —
-// threaded == simulate == serial — lives in serial_parallel_oracle_test.
+// morsel-granular NodeLocalKernel (morselized execution must equal the
+// serial evaluator over the unfragmented relation). The end-to-end
+// determinism story — caller-only pool == 1/2/4/8 workers == serial
+// engine — lives in serial_parallel_oracle_test.
 
 #include <atomic>
 #include <cstdlib>
@@ -31,28 +32,43 @@ using txmod::testing::MakeBeerDatabase;
 // ThreadPool.
 // ---------------------------------------------------------------------------
 
-TEST(ThreadPoolTest, RunsEveryQueueTaskAndFollower) {
-  ThreadPool pool(3);
-  std::atomic<int> tasks_run{0};
-  std::atomic<int> tasks_at_first_follower{-1};
+/// Runs 4 queues × 8 counting tasks plus one follower on `pool`;
+/// returns how many tasks had finished when the follower started.
+int TasksFinishedAtFollower(ThreadPool* pool, std::atomic<int>* tasks_run) {
+  std::atomic<int> at_follower{-1};
   PhasePlan plan;
   plan.queues.resize(4);
   for (std::size_t s = 0; s < 4; ++s) {
     for (int m = 0; m < 8; ++m) {
-      plan.queues[s].push_back([&tasks_run] { ++tasks_run; });
+      plan.queues[s].push_back([tasks_run] { ++*tasks_run; });
     }
   }
-  // Followers run only after every queue task has been *dequeued*; with
-  // this plan's trivial tasks they have also finished, so the follower
-  // observes the full count.
-  plan.followers.push_back([&] {
-    int expected = -1;
-    tasks_at_first_follower.compare_exchange_strong(expected,
-                                                    tasks_run.load());
-  });
-  pool.Run(std::move(plan));
-  EXPECT_EQ(tasks_run.load(), 32);
-  EXPECT_EQ(tasks_at_first_follower.load(), 32);
+  plan.followers.push_back([&] { at_follower = tasks_run->load(); });
+  pool->Run(std::move(plan));
+  return at_follower.load();
+}
+
+TEST(ThreadPoolTest, RunsEveryQueueTaskAndFollower) {
+  // Followers run only once every queue task has been *dequeued* — the
+  // promise the exchange phases rely on — not once every task has
+  // *finished*. On a caller-only pool the two coincide: the follower
+  // sees every task done.
+  {
+    ThreadPool pool(0);
+    std::atomic<int> tasks_run{0};
+    EXPECT_EQ(TasksFinishedAtFollower(&pool, &tasks_run), 32);
+    EXPECT_EQ(tasks_run.load(), 32);
+  }
+  // With workers, the participants other than the follower's own thread
+  // (at most `workers()` of them) may each still be running one dequeued
+  // task when the follower starts.
+  {
+    ThreadPool pool(3);
+    std::atomic<int> tasks_run{0};
+    EXPECT_GE(TasksFinishedAtFollower(&pool, &tasks_run),
+              32 - static_cast<int>(pool.workers()));
+    EXPECT_EQ(tasks_run.load(), 32);
+  }
 }
 
 TEST(ThreadPoolTest, ZeroWorkerPoolRunsEverythingOnCaller) {
@@ -173,21 +189,35 @@ TEST(ExchangeQueueTest, BoundIsSoftUntilConsumerIsLive) {
 }
 
 // ---------------------------------------------------------------------------
-// NodeLocalKernel: morselized execution == whole-fragment execution.
+// NodeLocalKernel: morselized execution == serial evaluation.
 // ---------------------------------------------------------------------------
 
-/// Runs `node` over `left` (and `right`) once via ExecuteNodeLocal and
-/// once morselized through NodeLocalKernel with the given morsel size;
-/// both result sets must be identical.
-void ExpectMorselsMatchWholeFragment(const algebra::PhysicalNode& node,
-                                     const Relation& left,
-                                     const Relation* right,
-                                     std::size_t morsel_tuples) {
+class DbContext : public algebra::EvalContext {
+ public:
+  explicit DbContext(const Database* db) : db_(db) {}
+  Result<const Relation*> Resolve(algebra::RelRefKind kind,
+                                  const std::string& name) const override {
+    if (kind != algebra::RelRefKind::kBase) {
+      return Status::FailedPrecondition("base relations only");
+    }
+    return db_->Find(name);
+  }
+
+ private:
+  const Database* db_;
+};
+
+/// Runs `plan`'s root operator morselized through NodeLocalKernel (with
+/// the given morsel size) over `left` (and `right`), the root's inputs as
+/// whole relations; the result must equal the serial evaluator's run of
+/// the same plan against `db`.
+void ExpectMorselsMatchSerial(const algebra::PhysicalPlan& plan,
+                              const Database& db, const Relation& left,
+                              const Relation* right,
+                              std::size_t morsel_tuples) {
   SCOPED_TRACE(StrCat("morsel_tuples=", morsel_tuples));
-  algebra::EvalStats whole_stats;
-  TXMOD_ASSERT_OK_AND_ASSIGN(
-      Relation whole,
-      algebra::ExecuteNodeLocal(node, left, right, &whole_stats));
+  const algebra::PhysicalNode& node = plan.root();
+  TXMOD_ASSERT_OK_AND_ASSIGN(Relation serial, plan.Execute(DbContext(&db)));
 
   algebra::EvalStats kernel_stats;
   TXMOD_ASSERT_OK_AND_ASSIGN(
@@ -204,8 +234,8 @@ void ExpectMorselsMatchWholeFragment(const algebra::PhysicalNode& node,
         kernel.RunMorsel(input.data() + off, count, &out, &kernel_stats));
     for (Tuple& t : out) merged.Insert(std::move(t));
   }
-  EXPECT_EQ(merged.size(), whole.size());
-  for (const Tuple& t : whole) {
+  EXPECT_EQ(merged.size(), serial.size());
+  for (const Tuple& t : serial) {
     EXPECT_TRUE(merged.Contains(t)) << "missing from morselized result";
   }
 }
@@ -221,9 +251,9 @@ class NodeLocalKernelTest : public ::testing::Test {
     }
   }
 
-  /// Compiles `expr` and returns its root node (kept alive in plans_),
-  /// or nullptr on a parse/compile failure (already reported to gtest).
-  const algebra::PhysicalNode* Root(const std::string& expr) {
+  /// Compiles `expr` and returns its plan (kept alive in plans_), or
+  /// nullptr on a parse/compile failure (already reported to gtest).
+  const algebra::PhysicalPlan* Plan(const std::string& expr) {
     auto txn = parser_.ParseTransaction(StrCat("tmp := ", expr, ";"));
     if (!txn.ok()) {
       ADD_FAILURE() << txn.status().ToString();
@@ -238,7 +268,7 @@ class NodeLocalKernelTest : public ::testing::Test {
     exprs_.push_back(std::move(txn->program.statements[0].expr));
     plans_.push_back(
         std::make_unique<algebra::PhysicalPlan>(std::move(plan).value()));
-    return &plans_.back()->root();
+    return plans_.back().get();
   }
 
   const Relation& Rel(const std::string& name) { return **db_.Find(name); }
@@ -250,25 +280,25 @@ class NodeLocalKernelTest : public ::testing::Test {
 };
 
 TEST_F(NodeLocalKernelTest, SelectMatchesForEveryMorselSize) {
-  const algebra::PhysicalNode* n = Root("select[alcohol > 5](beer)");
-  ASSERT_NE(n, nullptr);
+  const algebra::PhysicalPlan* p = Plan("select[alcohol > 5](beer)");
+  ASSERT_NE(p, nullptr);
   for (std::size_t m : {1u, 3u, 7u, 100u}) {
-    ExpectMorselsMatchWholeFragment(*n, Rel("beer"), nullptr, m);
+    ExpectMorselsMatchSerial(*p, db_, Rel("beer"), nullptr, m);
   }
 }
 
 TEST_F(NodeLocalKernelTest, ProjectMatches) {
-  const algebra::PhysicalNode* n = Root("project[name, alcohol](beer)");
-  ASSERT_NE(n, nullptr);
-  ExpectMorselsMatchWholeFragment(*n, Rel("beer"), nullptr, 4);
+  const algebra::PhysicalPlan* p = Plan("project[name, alcohol](beer)");
+  ASSERT_NE(p, nullptr);
+  ExpectMorselsMatchSerial(*p, db_, Rel("beer"), nullptr, 4);
 }
 
 TEST_F(NodeLocalKernelTest, HashJoinBuildsOncePerFragment) {
-  const algebra::PhysicalNode* n =
-      Root("join[l.brewery = r.name](beer, brewery)");
-  ASSERT_NE(n, nullptr);
-  ASSERT_FALSE(n->right_keys.empty()) << "expected an equality join";
-  ExpectMorselsMatchWholeFragment(*n, Rel("beer"), &Rel("brewery"), 5);
+  const algebra::PhysicalPlan* p =
+      Plan("join[l.brewery = r.name](beer, brewery)");
+  ASSERT_NE(p, nullptr);
+  ASSERT_FALSE(p->root().right_keys.empty()) << "expected an equality join";
+  ExpectMorselsMatchSerial(*p, db_, Rel("beer"), &Rel("brewery"), 5);
 }
 
 }  // namespace
