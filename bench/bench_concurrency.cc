@@ -13,6 +13,12 @@
 // (group commit). Reported: commits per second and the measured
 // fsyncs-per-commit ratio (the batching factor; 1.0 means no batching,
 // lower is better).
+//
+// Every uncontended transaction inserts a fresh fk id drawn from one
+// bench-owned counter, so it is a real write. Each series checks that
+// after the run (SkipWithError, which fails the binary): no read-only
+// commit beyond what contended transactions can explain, and with a WAL
+// one append per write-ful commit.
 
 #include <unistd.h>
 
@@ -36,6 +42,11 @@ constexpr int kFks = 5000;
 constexpr int kSharedKeys = 16;
 constexpr int kTxnsPerThreadPerIter = 50;
 
+/// Fresh fk ids for every uncontended insert, across threads, iterations
+/// and benchmark runs: far above the preloaded ids and the contended
+/// range, so each such transaction installs a tuple.
+std::atomic<int> next_fk_id{10'000'000};
+
 struct ManagerFixture {
   Database db;
   std::unique_ptr<core::IntegritySubsystem> ics;
@@ -53,18 +64,20 @@ struct ManagerFixture {
   }
 };
 
-/// A thread-private fk insert (ids disjoint across threads and
-/// iterations) or, with probability pct/100, a contended write: delete
-/// or re-insert one fk tuple from a small shared id range. Overlapping
-/// footprints on those tuples are real write-write conflicts (and net
-/// writes, so commit records publish them) — the conflict knob.
-algebra::Transaction MakeWorkTxn(int* next_id, unsigned* rng,
-                                 int conflict_pct) {
+/// A fresh fk insert (id from next_fk_id) or, with probability pct/100,
+/// a contended write: delete or re-insert one fk tuple from a small
+/// shared id range. Overlapping footprints on those tuples are real
+/// write-write conflicts — the conflict knob; a contended write may also
+/// be a no-op (deleting an absent tuple), which commits read-only.
+/// `contended_count` counts the contended transactions made.
+algebra::Transaction MakeWorkTxn(unsigned* rng, int conflict_pct,
+                                 std::atomic<uint64_t>* contended_count) {
   *rng = *rng * 1664525u + 1013904223u;
   const bool contended =
       static_cast<int>((*rng >> 16) % 100) < conflict_pct;
   algebra::Transaction txn;
   if (contended) {
+    contended_count->fetch_add(1, std::memory_order_relaxed);
     const int id = static_cast<int>((*rng >> 8) % (2 * kSharedKeys));
     Tuple fk_tuple({Value::Int(id), Value::String(StrCat("k", id % kKeys)),
                     Value::Double(1.0 + id % 10)});
@@ -80,7 +93,7 @@ algebra::Transaction MakeWorkTxn(int* next_id, unsigned* rng,
     txn.program.statements.push_back(algebra::Statement::Insert(
         "fk_rel",
         algebra::RelExpr::Literal(
-            {Tuple({Value::Int((*next_id)++),
+            {Tuple({Value::Int(next_fk_id.fetch_add(1)),
                     Value::String(StrCat("k", *rng % kKeys)),
                     Value::Double(2.5)})},
             3)));
@@ -88,11 +101,30 @@ algebra::Transaction MakeWorkTxn(int* next_id, unsigned* rng,
   return txn;
 }
 
-void BM_ConcurrentCommit(benchmark::State& state) {
-  const int threads = static_cast<int>(state.range(0));
-  const int conflict_pct = static_cast<int>(state.range(1));
-  ManagerFixture f;
+/// The write self-checks shared by the commit series: read-only commits
+/// only where contended no-ops explain them, and (with a WAL) exactly
+/// one log append per write-ful commit. Returns false after reporting
+/// the failure.
+bool CheckCommitsWrote(benchmark::State& state,
+                       const txn::TxnManagerStats& stats, uint64_t contended,
+                       bool wal) {
+  if (stats.readonly_commits > contended) {
+    state.SkipWithError("read-only commits from uncontended inserts: the "
+                        "bench is committing no-ops");
+    return false;
+  }
+  if (wal && stats.wal_appends != stats.commits - stats.readonly_commits) {
+    state.SkipWithError("wal_appends != write-ful commits");
+    return false;
+  }
+  return true;
+}
 
+/// Runs kTxnsPerThreadPerIter transactions on each of `threads` threads
+/// per iteration; returns the committed count.
+uint64_t RunCommitThreads(benchmark::State& state, ManagerFixture* f,
+                          int threads, int conflict_pct, unsigned seed,
+                          std::atomic<uint64_t>* contended) {
   uint64_t committed_total = 0;
   for (auto _ : state) {
     std::atomic<uint64_t> committed{0};
@@ -100,12 +132,10 @@ void BM_ConcurrentCommit(benchmark::State& state) {
     workers.reserve(static_cast<std::size_t>(threads));
     for (int t = 0; t < threads; ++t) {
       workers.emplace_back([&, t]() {
-        int next_id = 1'000'000 + t * 1'000'000 +
-                      static_cast<int>(state.iterations()) * 1000;
-        unsigned rng = 12345u * static_cast<unsigned>(t + 1);
+        unsigned rng = seed * static_cast<unsigned>(t + 1);
         for (int i = 0; i < kTxnsPerThreadPerIter; ++i) {
-          auto result = f.manager->Run(
-              MakeWorkTxn(&next_id, &rng, conflict_pct));
+          auto result =
+              f->manager->Run(MakeWorkTxn(&rng, conflict_pct, contended));
           if (result.ok() && result->committed) {
             committed.fetch_add(1, std::memory_order_relaxed);
           }
@@ -115,10 +145,25 @@ void BM_ConcurrentCommit(benchmark::State& state) {
     for (std::thread& w : workers) w.join();
     committed_total += committed.load();
   }
+  return committed_total;
+}
+
+void BM_ConcurrentCommit(benchmark::State& state) {
+  const int threads = static_cast<int>(state.range(0));
+  const int conflict_pct = static_cast<int>(state.range(1));
+  ManagerFixture f;
+  std::atomic<uint64_t> contended{0};
+  const uint64_t committed_total =
+      RunCommitThreads(state, &f, threads, conflict_pct, 12345u, &contended);
   const txn::TxnManagerStats stats = f.manager->stats();
+  if (!CheckCommitsWrote(state, stats, contended.load(), /*wal=*/false)) {
+    return;
+  }
   state.SetItemsProcessed(static_cast<int64_t>(committed_total));
   state.counters["conflicts"] = static_cast<double>(stats.conflicts);
   state.counters["commits"] = static_cast<double>(stats.commits);
+  state.counters["readonly_commits"] =
+      static_cast<double>(stats.readonly_commits);
   state.counters["conflict_rate"] =
       stats.commits + stats.conflicts > 0
           ? static_cast<double>(stats.conflicts) /
@@ -141,22 +186,16 @@ BENCHMARK(BM_ConcurrentCommit)
     ->UseRealTime();
 
 /// The first-write cost pin: one session inserts ONE tuple into a
-/// relation of `tuples` rows and commits. With overlay_sessions the
-/// session's first write layers an O(1) overlay over the shared
-/// snapshot; without it, it pays the legacy O(|R|) copy-on-write clone —
-/// so the clone series scales with the relation while the overlay series
-/// stays flat. The cloned_tuples_per_txn counter (from CowStats) shows
-/// the copies directly.
+/// relation of `tuples` rows and commits. The session's first write
+/// layers an O(1) overlay level over the shared snapshot, so the time
+/// stays flat as the relation grows.
 void BM_SessionFirstWrite(benchmark::State& state) {
   const int tuples = static_cast<int>(state.range(0));
-  const bool overlay = state.range(1) != 0;
   Database db = MakeKeyFkDatabase(kKeys, tuples);
   core::IntegritySubsystem ics(&db);
   TXMOD_BENCH_CHECK_OK(ics.DefineConstraint("domain", DomainConstraint()));
   TXMOD_BENCH_CHECK_OK(ics.DefineConstraint("refint", RefIntConstraint()));
-  txn::TxnManagerOptions options;
-  options.overlay_sessions = overlay;
-  auto created = txn::TxnManager::Create(&ics, options);
+  auto created = txn::TxnManager::Create(&ics);
   TXMOD_BENCH_CHECK_OK(created.status());
   auto manager = std::move(*created);
 
@@ -178,20 +217,20 @@ void BM_SessionFirstWrite(benchmark::State& state) {
     if (executed.ok() && result.ok() && result->committed) ++committed;
   }
   state.SetItemsProcessed(static_cast<int64_t>(committed));
+  if (manager->stats().readonly_commits != 0) {
+    state.SkipWithError("a one-tuple insert committed read-only");
+    return;
+  }
   const double iters =
       state.iterations() > 0 ? static_cast<double>(state.iterations()) : 1.0;
-  state.counters["cloned_tuples_per_txn"] =
-      static_cast<double>(CowStats::cloned_tuples.load()) / iters;
   state.counters["overlays_per_txn"] =
       static_cast<double>(CowStats::overlays_created.load()) / iters;
 }
 
 BENCHMARK(BM_SessionFirstWrite)
-    ->ArgNames({"tuples", "overlay"})
-    ->Args({10'000, 0})
-    ->Args({10'000, 1})
-    ->Args({100'000, 0})
-    ->Args({100'000, 1})
+    ->ArgNames({"tuples"})
+    ->Arg(10'000)
+    ->Arg(100'000)
     ->Unit(benchmark::kMicrosecond);
 
 void BM_GroupCommitFsync(benchmark::State& state) {
@@ -207,36 +246,18 @@ void BM_GroupCommitFsync(benchmark::State& state) {
   options.sync_commits = true;
   options.wal_shards = static_cast<uint32_t>(shards);
   ManagerFixture f(options);
-
-  uint64_t committed_total = 0;
-  for (auto _ : state) {
-    std::atomic<uint64_t> committed{0};
-    std::vector<std::thread> workers;
-    workers.reserve(static_cast<std::size_t>(threads));
-    for (int t = 0; t < threads; ++t) {
-      workers.emplace_back([&, t]() {
-        int next_id = 10'000'000 + t * 1'000'000 +
-                      static_cast<int>(state.iterations()) * 1000;
-        unsigned rng = 99991u * static_cast<unsigned>(t + 1);
-        for (int i = 0; i < kTxnsPerThreadPerIter; ++i) {
-          auto result =
-              f.manager->Run(MakeWorkTxn(&next_id, &rng, 0));
-          if (result.ok() && result->committed) {
-            committed.fetch_add(1, std::memory_order_relaxed);
-          }
-        }
-      });
-    }
-    for (std::thread& w : workers) w.join();
-    committed_total += committed.load();
-  }
+  std::atomic<uint64_t> contended{0};
+  const uint64_t committed_total =
+      RunCommitThreads(state, &f, threads, 0, 99991u, &contended);
   const txn::TxnManagerStats stats = f.manager->stats();
   state.SetItemsProcessed(static_cast<int64_t>(committed_total));
-  state.counters["fsyncs"] = static_cast<double>(stats.wal_fsyncs);
-  state.counters["fsyncs_per_commit"] =
-      stats.commits > 0 ? static_cast<double>(stats.wal_fsyncs) /
-                              static_cast<double>(stats.commits)
-                        : 0.0;
+  if (CheckCommitsWrote(state, stats, contended.load(), /*wal=*/true)) {
+    state.counters["fsyncs"] = static_cast<double>(stats.wal_fsyncs);
+    state.counters["fsyncs_per_commit"] =
+        stats.commits > 0 ? static_cast<double>(stats.wal_fsyncs) /
+                                static_cast<double>(stats.commits)
+                          : 0.0;
+  }
 
   std::error_code ec;
   std::filesystem::remove_all(dir, ec);

@@ -158,6 +158,76 @@ BENCHMARK(BM_DifferentialCommit)
     ->ArgsProduct({{1000, 5000}, {10, 100, 1000}})
     ->Unit(benchmark::kMicrosecond);
 
+// The serial engine on a mixed stream: per iteration one valid fk insert
+// batch, the same batch plus one dangling reference (aborts and rolls
+// back), and a key swap that writes both relations (delete an
+// unreferenced key, insert a fresh one and an fk tuple referencing a
+// live key). Neither the abort nor the two-relation commit may cost later
+// commits their in-place fold: both relations must stay flat.
+algebra::Transaction MakeKeySwap(int swap, int fk_id) {
+  auto key = [](int i) {
+    return Tuple({Value::String(StrCat("x", i)), Value::String("payload")});
+  };
+  algebra::Transaction txn;
+  txn.program.statements.push_back(algebra::Statement::Delete(
+      "key_rel", algebra::RelExpr::Literal({key(swap)}, 2)));
+  txn.program.statements.push_back(algebra::Statement::Insert(
+      "key_rel", algebra::RelExpr::Literal({key(swap + 1)}, 2)));
+  txn.program.statements.push_back(algebra::Statement::Insert(
+      "fk_rel", algebra::RelExpr::Literal(
+                    {Tuple({Value::Int(fk_id), Value::String("k0"),
+                            Value::Double(2.5)})},
+                    3)));
+  return txn;
+}
+
+void BM_SerialMixedCommit(benchmark::State& state) {
+  const int keys = static_cast<int>(state.range(0));
+  const int batch = static_cast<int>(state.range(1));
+  Database db = MakeKeyFkDatabase(keys, keys * 10);
+  AddUnreferencedKeys(&db, 1);  // "x0", swapped for "x1", "x2", ...
+  core::IntegritySubsystem ics(&db);
+  TXMOD_BENCH_CHECK_OK(ics.DefineConstraint("refint", RefIntConstraint()));
+  TXMOD_BENCH_CHECK_OK(ics.DefineConstraint("domain", DomainConstraint()));
+  int id_base = 10'000'000;
+  int swap = 0;
+  auto run = [&](const algebra::Transaction& txn) {
+    auto modified = ics.Modify(txn);
+    TXMOD_BENCH_CHECK_OK(modified.status());
+    auto result = txn::ExecuteTransaction(*modified, &db);
+    TXMOD_BENCH_CHECK_OK(result.status());
+    return result->committed;
+  };
+  for (auto _ : state) {
+    const bool valid = run(MakeFkInsertBatch(batch, keys, id_base));
+    algebra::Transaction dangling =
+        MakeFkInsertBatch(batch, keys, id_base + batch);
+    dangling.program.statements.push_back(algebra::Statement::Insert(
+        "fk_rel", algebra::RelExpr::Literal(
+                      {Tuple({Value::Int(id_base + 2 * batch),
+                              Value::String("missing"), Value::Double(2.5)})},
+                      3)));
+    const bool dangled = run(dangling);
+    const bool swapped = run(MakeKeySwap(swap, id_base + 2 * batch + 1));
+    id_base += 2 * batch + 2;
+    ++swap;
+    if (!valid || dangled || !swapped) {
+      state.SkipWithError("unexpected transaction outcome");
+      return;
+    }
+  }
+  if ((*db.Find("key_rel"))->overlay_depth() != 0 ||
+      (*db.Find("fk_rel"))->overlay_depth() != 0) {
+    state.SkipWithError("serial commits stopped folding in place");
+  }
+  state.SetItemsProcessed(state.iterations() * 3);
+  state.counters["key_tuples"] = static_cast<double>(keys);
+  state.counters["batch"] = static_cast<double>(batch);
+}
+BENCHMARK(BM_SerialMixedCommit)
+    ->ArgsProduct({{1000, 5000}, {10, 100, 1000}})
+    ->Unit(benchmark::kMicrosecond);
+
 // Rule definition cost (parse + analyze + compile + graph validation) —
 // the price paid once, at definition time, to make the static path cheap.
 void BM_DefineRule(benchmark::State& state) {

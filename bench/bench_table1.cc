@@ -112,6 +112,16 @@ void RunAdHocRepeatedShape(benchmark::State& state, std::size_t capacity) {
   //   tmp := project[ref](select[amount >= A and ref != "kB"](fk_rel));
   //   chk := diff(tmp, project[key](key_rel));
   //   insert(fk_rel, {(id, "kC", 2.5)});
+  // The insert is rebuilt per execution with a fresh id, so every
+  // execution really installs one tuple.
+  auto make_insert = [keys](int v, int id) {
+    return algebra::Statement::Insert(
+        "fk_rel", algebra::RelExpr::Literal(
+                      {Tuple({Value::Int(id),
+                              Value::String(StrCat("k", v % keys)),
+                              Value::Double(2.5)})},
+                      3));
+  };
   std::vector<algebra::Transaction> variants;
   int next_id = 5'000'000;
   for (int v = 0; v < 64; ++v) {
@@ -134,21 +144,23 @@ void RunAdHocRepeatedShape(benchmark::State& state, std::size_t capacity) {
         "chk", RelExpr::Difference(
                    RelExpr::Temp("tmp"),
                    RelExpr::ProjectAttrs({0}, RelExpr::Base("key_rel")))));
-    txn.program.statements.push_back(algebra::Statement::Insert(
-        "fk_rel",
-        RelExpr::Literal({Tuple({Value::Int(next_id++),
-                                 Value::String(StrCat("k", v % keys)),
-                                 Value::Double(2.5)})},
-                         3)));
+    txn.program.statements.push_back(make_insert(v, 0));
     variants.push_back(std::move(txn));
   }
 
   std::size_t i = 0;
   for (auto _ : state) {
-    auto result = ics.Execute(variants[i++ % variants.size()]);
+    const int v = static_cast<int>(i++ % variants.size());
+    algebra::Transaction& txn = variants[static_cast<std::size_t>(v)];
+    txn.program.statements.back() = make_insert(v, next_id++);
+    auto result = ics.Execute(txn);
     TXMOD_BENCH_CHECK_OK(result.status());
     if (!result->committed) {
       state.SkipWithError("transaction unexpectedly aborted");
+      return;
+    }
+    if (result->tuples_inserted != 1) {
+      state.SkipWithError("an execution installed no tuple");
       return;
     }
   }

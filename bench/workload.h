@@ -8,6 +8,8 @@
 // the referencing side). Sizes are parameters; the paper's headline
 // configuration is keys=5000, fks=50000, insert batch=5000.
 
+#include <unistd.h>
+
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
@@ -33,12 +35,32 @@ namespace txmod::bench {
 /// writes the Google Benchmark JSON report — including the machine/compiler
 /// context block — to <file> while keeping the console reporter on stdout.
 /// scripts/bench.sh uses it to record reproducible baselines
-/// (BENCH_table1.json at the repo root).
+/// (BENCH_table1.json at the repo root). The binary exits non-zero when
+/// any run reported an error (SkipWithError), so a bench self-check
+/// fails the script or CI step that ran it.
 ///
 /// Only defined when benchmark/benchmark.h was included first (the bench
 /// binaries do; tests/workload_test.cc includes this header without linking
 /// Google Benchmark and must not see it).
 #ifdef BENCHMARK_MAIN
+/// Console reporter that remembers whether any run reported an error.
+/// Formats like the library's default: plain rows, colored on a terminal.
+class ErrorTrackingReporter : public benchmark::ConsoleReporter {
+ public:
+  ErrorTrackingReporter()
+      : ConsoleReporter(::isatty(STDOUT_FILENO) != 0 ? OO_Color : OO_None) {}
+
+  bool failed() const { return failed_; }
+
+  void ReportRuns(const std::vector<Run>& runs) override {
+    for (const Run& run : runs) failed_ = failed_ || run.error_occurred;
+    ConsoleReporter::ReportRuns(runs);
+  }
+
+ private:
+  bool failed_ = false;
+};
+
 inline int BenchMain(int argc, char** argv) {
   std::vector<std::string> args;
   args.reserve(static_cast<std::size_t>(argc) + 2);
@@ -64,9 +86,10 @@ inline int BenchMain(int argc, char** argv) {
   int argc2 = static_cast<int>(argv2.size());
   benchmark::Initialize(&argc2, argv2.data());
   if (benchmark::ReportUnrecognizedArguments(argc2, argv2.data())) return 1;
-  benchmark::RunSpecifiedBenchmarks();
+  ErrorTrackingReporter reporter;
+  benchmark::RunSpecifiedBenchmarks(&reporter);
   benchmark::Shutdown();
-  return 0;
+  return reporter.failed() ? 1 : 0;
 }
 
 #define TXMOD_BENCH_MAIN()                                  \

@@ -7,8 +7,7 @@ namespace txmod {
 Database::Database(const Database& other)
     : schema_(other.schema_),
       relations_(other.relations_),
-      logical_time_(other.logical_time_),
-      overlay_enabled_(other.overlay_enabled_) {
+      logical_time_(other.logical_time_) {
   // Every state is now shared: neither side may mutate one in place.
   other.owned_.clear();
 }
@@ -18,7 +17,6 @@ Database& Database::operator=(const Database& other) {
     schema_ = other.schema_;
     relations_ = other.relations_;
     logical_time_ = other.logical_time_;
-    overlay_enabled_ = other.overlay_enabled_;
     owned_.clear();
     other.owned_.clear();
   }
@@ -48,36 +46,13 @@ Result<Relation*> Database::FindMutable(const std::string& name) {
     return Status::NotFound(StrCat("relation ", name, " does not exist"));
   }
   std::shared_ptr<Relation>& slot = it->second;
-  if (owned_.find(name) == owned_.end()) {
+  if (owned_.insert(name).second) {
     // This state is (or once was) shared with a snapshot — shared states
-    // are immutable, so un-share before handing out mutable access.
-    if (overlay_enabled_) {
-      // O(1) in the relation size: layer a private overlay over the
-      // shared base. Declared indexes are mirrored (empty) so compiled
-      // checks keep probing via FindIndexView.
-      auto owned = std::make_shared<Relation>(
-          Relation::MakeOverlay(std::shared_ptr<const Relation>(slot)));
-      slot = std::move(owned);
-      ++CowStats::overlays_created;
-      // Depth backstop for writers that never run the commit-path
-      // compaction (e.g. the serial engine mutating a master that gets
-      // snapshotted repeatedly): bound read amplification.
-      if (slot->overlay_depth() > 40) slot->CollapseOverlay();
-    } else {
-      // O(|R|) copy-on-write clone, re-declaring the indexes the plain
-      // Relation copy drops — the pre-overlay baseline. A source that is
-      // itself an overlay chain is flattened so the clone is a plain
-      // self-contained state.
-      auto owned = std::make_shared<Relation>(*slot);
-      owned->CollapseOverlay();
-      for (const std::vector<int>& attrs : slot->DeclaredIndexes()) {
-        owned->IndexOn(attrs);
-      }
-      ++CowStats::relation_clones;
-      CowStats::cloned_tuples += slot->size();
-      slot = std::move(owned);
-    }
-    owned_.insert(name);
+    // are immutable, so layer a private overlay level over it: O(1) in
+    // the relation size, with declared indexes mirrored so compiled
+    // checks keep probing via FindIndexView.
+    slot = std::make_shared<Relation>(Relation::MakeOverlay(slot));
+    ++CowStats::overlays_created;
   }
   return slot.get();
 }

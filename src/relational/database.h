@@ -21,25 +21,26 @@ namespace txmod {
 /// copying a Database — Clone(), the copy constructor, or assignment —
 /// is O(#relations) and *shares* every relation state with the source.
 /// Value semantics are preserved by FindMutable: the first mutable
-/// access to a shared relation un-shares it privately first — by default
-/// an O(1) overlay over the immutable shared base (mutations then cost
-/// O(|delta|)); with overlays disabled, an O(|R|) clone that re-declares
-/// the equi-key indexes plain Relation copies drop. This is what gives
-/// concurrent sessions a stable committed snapshot D^t to read while
-/// writers build differentials: a snapshot is just a Clone() of the
-/// committed database, and neither side's mutations are ever visible to
-/// the other.
+/// access to a shared relation layers a private O(1) overlay level over
+/// the immutable shared state, and mutations then cost O(|delta|). This
+/// is what gives concurrent sessions a stable committed snapshot D^t to
+/// read while writers change their own copy: a snapshot is just a
+/// Clone() of the committed database, and neither side's mutations are
+/// ever visible to the other. It is also how a transaction keeps the
+/// paper's auxiliary relations: a TxnContext clones its database at the
+/// first write, so each relation it writes gets exactly one level over
+/// the pre-transaction state, whose plus()/minus() are dplus/dminus.
 ///
 /// Ownership discipline (the race-freedom argument): every Database
 /// instance tracks which relation states it exclusively owns — those it
-/// created or cloned itself and has never shared out. Copying a Database
+/// created or layered itself and has never shared out. Copying a Database
 /// marks every state shared on BOTH sides, and a shared state is
-/// immutable forever after: FindMutable never mutates one, it clones
-/// first. Deliberately NOT shared_ptr::use_count() — observing a
-/// refcount drop to 1 via its relaxed load would not establish a
-/// happens-before edge with the releasing thread's prior reads, so
-/// mutating "because the count says we are alone" is a data race
-/// (ThreadSanitizer-verified). The owned-set is per-instance state,
+/// immutable forever after: FindMutable never mutates one, it layers an
+/// overlay over it first. Deliberately NOT shared_ptr::use_count() —
+/// observing a refcount drop to 1 via its relaxed load would not
+/// establish a happens-before edge with the releasing thread's prior
+/// reads, so mutating "because the count says we are alone" is a data
+/// race (ThreadSanitizer-verified). The owned-set is per-instance state,
 /// touched only by this instance's single thread (or under the
 /// transaction manager's commit lock).
 ///
@@ -52,7 +53,7 @@ class Database {
  public:
   Database() = default;
   /// Copying shares every relation state and renders them immutable on
-  /// both sides (each side clones on its next write).
+  /// both sides (each side layers an overlay on its next write).
   Database(const Database& other);
   Database& operator=(const Database& other);
   Database(Database&&) = default;
@@ -65,21 +66,31 @@ class Database {
 
   /// Mutable access that never leaks mutation into other holders. While
   /// the relation state is shared with another Database (an outstanding
-  /// snapshot), the first mutable access un-shares it:
-  ///
-  ///   * overlay mode (default): an O(1) overlay state is layered over
-  ///     the shared base (Relation::MakeOverlay) — mutation cost becomes
-  ///     O(|delta|), with declared indexes mirrored so compiled checks
-  ///     stay on their probe paths via FindIndexView;
-  ///   * clone mode (set_overlay_enabled(false)): the state is cloned
-  ///     O(|R|) — including re-declaring its indexes — the pre-overlay
-  ///     behavior, kept as the oracle baseline.
+  /// snapshot), the first mutable access layers an O(1) overlay level
+  /// over it (Relation::MakeOverlay): mutation cost becomes O(|delta|),
+  /// with declared indexes mirrored so compiled checks stay on their
+  /// probe paths via FindIndexView. Later accesses return that level
+  /// until the next copy shares it. Chain depth is bounded by the
+  /// writers' commit-time Relation::CompactOverlay, not here.
   Result<Relation*> FindMutable(const std::string& name);
 
-  /// Chooses between overlay and clone un-sharing in FindMutable. The
-  /// flag is copied by Clone()/copies, so snapshots inherit the mode.
-  void set_overlay_enabled(bool enabled) { overlay_enabled_ = enabled; }
-  bool overlay_enabled() const { return overlay_enabled_; }
+  /// True when this instance exclusively owns `name`'s state.
+  bool Owns(const std::string& name) const { return owned_.count(name) > 0; }
+
+  /// Replaces `name`'s overlay level by its base with the level's delta
+  /// folded in place (Relation::FoldIntoBase): O(|delta|). The caller
+  /// must guarantee that this instance owns the level and that nothing
+  /// else references the base (TxnContext::Commit states its proof).
+  void FoldLevel(const std::string& name) {
+    std::shared_ptr<Relation>& slot = relations_.at(name);
+    slot = slot->FoldIntoBase();
+  }
+
+  /// Marks `names` exclusively owned again; the caller must guarantee
+  /// that no other Database references their states.
+  void Reown(const std::set<std::string>& names) {
+    owned_.insert(names.begin(), names.end());
+  }
 
   bool Contains(const std::string& name) const {
     return relations_.find(name) != relations_.end();
@@ -109,8 +120,8 @@ class Database {
   /// no longer resolves `name` afterwards. Returns null when the state
   /// is shared or unknown. Together with AdoptRelation this is the
   /// transaction manager's swap-in commit fast path: a session that
-  /// cloned a relation privately and ran against the current committed
-  /// version hands its post-state over by pointer, not by copy.
+  /// wrote a relation's private overlay level and ran against the current
+  /// committed version hands that level over by pointer, not by copy.
   std::shared_ptr<Relation> TakeOwnedRelation(const std::string& name);
 
   /// Installs `rel` as `name`'s state and takes exclusive ownership. The
@@ -133,13 +144,12 @@ class Database {
   DatabaseSchema schema_;
   // Shared relation states: the copy-on-write substrate.
   std::map<std::string, std::shared_ptr<Relation>> relations_;
-  // Names whose state this instance exclusively owns (created or cloned
+  // Names whose state this instance exclusively owns (created or layered
   // here, never shared out). Mutable: copying a const source must strip
   // the source's ownership too, or it would keep mutating state the copy
   // now reads.
   mutable std::set<std::string> owned_;
   uint64_t logical_time_ = 0;
-  bool overlay_enabled_ = true;
 };
 
 }  // namespace txmod

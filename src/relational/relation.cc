@@ -6,15 +6,11 @@
 
 namespace txmod {
 
-std::atomic<uint64_t> CowStats::relation_clones{0};
-std::atomic<uint64_t> CowStats::cloned_tuples{0};
 std::atomic<uint64_t> CowStats::overlays_created{0};
 std::atomic<uint64_t> CowStats::overlay_merges{0};
 std::atomic<uint64_t> CowStats::overlay_collapses{0};
 
 void CowStats::Reset() {
-  relation_clones.store(0);
-  cloned_tuples.store(0);
   overlays_created.store(0);
   overlay_merges.store(0);
   overlay_collapses.store(0);
@@ -87,14 +83,23 @@ bool RelationIndexView::Shadowed(std::size_t level, const Tuple& t) const {
 // Relation.
 // ---------------------------------------------------------------------------
 
+Relation::Relation(const Relation& other)
+    : schema_(other.schema_), tuples_(other.tuples_), base_(other.base_) {
+  if (base_ != nullptr) {
+    plus_ = std::make_unique<Relation>(*other.plus_);
+    minus_ = std::make_unique<Relation>(*other.minus_);
+  }
+}
+
 Relation Relation::MakeOverlay(std::shared_ptr<const Relation> base) {
   Relation overlay(base->schema_ptr());
-  // Mirror the base's declared attribute lists as empty local indexes so
-  // FindIndexView can compose the chain. Building is O(#indexes), never
-  // O(|base|): the mirrors cover only this level's future inserts.
+  overlay.plus_ = std::make_unique<Relation>(base->schema_ptr());
+  overlay.minus_ = std::make_unique<Relation>(base->schema_ptr());
+  // Mirror the base's declared attribute lists as empty indexes on plus
+  // so FindIndexView can compose the chain. Building is O(#indexes),
+  // never O(|base|): the mirrors cover only this level's future inserts.
   for (std::vector<int>& attrs : base->DeclaredIndexes()) {
-    overlay.indexes_.push_back(
-        std::make_unique<RelationIndex>(std::move(attrs)));
+    overlay.plus_->IndexOn(std::move(attrs));
   }
   overlay.base_ = std::move(base);
   return overlay;
@@ -102,14 +107,11 @@ Relation Relation::MakeOverlay(std::shared_ptr<const Relation> base) {
 
 bool Relation::Insert(Tuple t) {
   if (base_ != nullptr) {
-    if (tuples_.count(t) > 0) return false;  // visible via a local insert
-    auto mit = minus_.find(t);
-    if (mit != minus_.end()) {
-      // Resurrect a base tuple this level deleted: un-shadow it.
-      minus_.erase(mit);
-      return true;
-    }
+    if (plus_->Contains(t)) return false;  // visible via a local insert
+    // Resurrect a base tuple this level deleted: un-shadow it.
+    if (minus_->Erase(t)) return true;
     if (base_->Contains(t)) return false;  // visible through the base
+    return plus_->Insert(std::move(t));
   }
   auto [it, inserted] = tuples_.insert(std::move(t));
   if (inserted) {
@@ -119,29 +121,32 @@ bool Relation::Insert(Tuple t) {
 }
 
 bool Relation::Erase(const Tuple& t) {
-  auto it = tuples_.find(t);
-  if (it != tuples_.end()) {
-    for (const auto& index : indexes_) index->Remove(&*it);
-    tuples_.erase(it);
-    if (base_ != nullptr && minus_.count(t) == 0 && base_->Contains(t)) {
-      // Merged levels may hold a tuple both locally and in the base
-      // chain; keep it invisible after the local removal.
-      minus_.insert(t);
+  if (base_ != nullptr) {
+    const bool local = plus_->Erase(t);
+    // Merged levels may hold a tuple both locally and in the base chain;
+    // shadow the base copy too so it stays invisible.
+    if (!minus_->Contains(t) && base_->Contains(t)) {
+      minus_->Insert(t);
+      return true;
     }
-    return true;
+    return local;
   }
-  if (base_ != nullptr && minus_.count(t) == 0 && base_->Contains(t)) {
-    minus_.insert(t);
-    return true;
-  }
-  return false;
+  auto it = tuples_.find(t);
+  if (it == tuples_.end()) return false;
+  for (const auto& index : indexes_) index->Remove(&*it);
+  tuples_.erase(it);
+  return true;
 }
 
-void Relation::Clear() {
-  tuples_.clear();
-  minus_.clear();
+void Relation::Clear() { BecomeFlat({}); }
+
+void Relation::BecomeFlat(std::unordered_set<Tuple, TupleHasher> contents) {
+  if (base_ != nullptr) indexes_ = std::move(plus_->indexes_);
+  tuples_ = std::move(contents);
   base_.reset();
-  for (const auto& index : indexes_) index->map_.clear();
+  plus_.reset();
+  minus_.reset();
+  for (const auto& index : indexes_) index->Rebuild(tuples_);
 }
 
 const RelationIndex* Relation::IndexOn(std::vector<int> attrs) {
@@ -172,7 +177,7 @@ const RelationIndex* Relation::FindIndex(
 
 const RelationIndex* Relation::FindLocalIndex(
     const std::vector<int>& attrs) const {
-  for (const auto& index : indexes_) {
+  for (const auto& index : Local().indexes_) {
     if (index->attrs() == attrs) return index.get();
   }
   return nullptr;
@@ -184,10 +189,11 @@ RelationIndexView Relation::FindIndexView(
   for (const Relation* level = this; level != nullptr;
        level = level->base_.get()) {
     const RelationIndex* index = level->FindLocalIndex(attrs);
-    if (index == nullptr && !level->tuples_.empty()) {
+    if (index == nullptr && !level->Local().tuples_.empty()) {
       return RelationIndexView();  // a populated level lacks the index
     }
-    view.levels_.push_back(RelationIndexView::Level{index, &level->minus_});
+    view.levels_.push_back(RelationIndexView::Level{
+        index, level->base_ != nullptr ? &level->minus_->tuples_ : nullptr});
     if (index != nullptr && view.attrs_ == nullptr) {
       view.attrs_ = &index->attrs();
     }
@@ -198,8 +204,8 @@ RelationIndexView Relation::FindIndexView(
 
 std::vector<std::vector<int>> Relation::DeclaredIndexes() const {
   std::vector<std::vector<int>> out;
-  out.reserve(indexes_.size());
-  for (const auto& index : indexes_) out.push_back(index->attrs());
+  out.reserve(index_count());
+  for (const auto& index : Local().indexes_) out.push_back(index->attrs());
   return out;
 }
 
@@ -230,36 +236,42 @@ void Relation::CollapseOverlay() {
   std::unordered_set<Tuple, TupleHasher> flat;
   flat.reserve(size());
   for (const Tuple& t : *this) flat.insert(t);
-  tuples_ = std::move(flat);
-  minus_.clear();
-  base_.reset();
-  for (const auto& index : indexes_) index->Rebuild(tuples_);
+  BecomeFlat(std::move(flat));
   ++CowStats::overlay_collapses;
 }
 
 bool Relation::MergeOverlayLevel() {
   if (base_ == nullptr || base_->base_ == nullptr) return false;
   const Relation& b = *base_;
-  // Combined level over b's base:  plus = (b.plus ∖ minus) ∪ plus,
+  // Combined level over b's base:  plus' = (b.plus ∖ minus) ∪ plus,
   // minus' = b.minus ∪ (minus ∖ b.plus).  b itself is only read — it may
-  // still be pinned by outstanding snapshots.
-  std::unordered_set<Tuple, TupleHasher> plus;
-  plus.reserve(b.tuples_.size() + tuples_.size());
-  for (const Tuple& t : b.tuples_) {
-    if (minus_.count(t) == 0) plus.insert(t);
+  // still be pinned by outstanding snapshots. plus_->Insert keeps the
+  // mirrored indexes coherent.
+  for (const Tuple& t : *b.plus_) {
+    if (!minus_->Contains(t)) plus_->Insert(t);
   }
-  for (const Tuple& t : tuples_) plus.insert(t);
-  std::unordered_set<Tuple, TupleHasher> minus = b.minus_;
-  for (const Tuple& t : minus_) {
-    if (b.tuples_.count(t) == 0) minus.insert(t);
+  auto minus = std::make_unique<Relation>(*b.minus_);
+  for (const Tuple& t : *minus_) {
+    if (!b.plus_->Contains(t)) minus->Insert(t);
   }
   std::shared_ptr<const Relation> next = b.base_;
-  tuples_ = std::move(plus);
   minus_ = std::move(minus);
   base_ = std::move(next);  // drops the reference to b last
-  for (const auto& index : indexes_) index->Rebuild(tuples_);
   ++CowStats::overlay_merges;
   return true;
+}
+
+std::shared_ptr<Relation> Relation::FoldIntoBase() {
+  // The base was created mutable (make_shared<Relation>) and is only
+  // held through a const pointer; sole ownership makes mutating it safe.
+  auto base = std::const_pointer_cast<Relation>(base_);
+  for (const Tuple& t : *minus_) base->Erase(t);
+  auto& plus = plus_->tuples_;
+  while (!plus.empty()) {
+    base->Insert(std::move(plus.extract(plus.begin()).value()));
+  }
+  BecomeFlat({});  // drops plus' index entries unread: they dangle now
+  return base;
 }
 
 void Relation::CompactOverlay() {
@@ -275,8 +287,7 @@ void Relation::CompactOverlay() {
   // Large-delta case: once the accumulated overlay rivals the flat base,
   // a collapse costs O(|R|) against ≥ |R|/2 delta work already paid —
   // amortized constant — and restores flat-state read speed. The depth
-  // bound is a backstop for non-geometric chains (e.g. serial engines
-  // that never commit through the manager).
+  // bound is a backstop for non-geometric chains.
   constexpr std::size_t kCollapseMinWeight = 64;
   constexpr std::size_t kMaxOverlayDepth = 40;
   const std::size_t threshold =
@@ -288,9 +299,9 @@ void Relation::CompactOverlay() {
 
 void Relation::ConstIterator::Settle() {
   while (level_ != nullptr) {
-    if (it_ == level_->tuples_.end()) {
+    if (it_ == level_->Local().tuples_.end()) {
       level_ = level_->base_.get();
-      if (level_ != nullptr) it_ = level_->tuples_.begin();
+      if (level_ != nullptr) it_ = level_->Local().tuples_.begin();
       continue;
     }
     if (level_ == top_ || !ShadowedAboveCurrent()) return;
@@ -300,7 +311,8 @@ void Relation::ConstIterator::Settle() {
 
 bool Relation::ConstIterator::ShadowedAboveCurrent() const {
   for (const Relation* r = top_; r != level_; r = r->base_.get()) {
-    if (!r->minus_.empty() && r->minus_.count(*it_) > 0) return true;
+    const auto& minus = r->minus_->tuples_;
+    if (!minus.empty() && minus.count(*it_) > 0) return true;
   }
   return false;
 }

@@ -24,15 +24,11 @@ class Relation;
 /// relation", "a session's first write did not scan the base" — instead of
 /// timing them.
 struct CowStats {
-  /// O(|R|) relation clones performed by Database::FindMutable when
-  /// overlay execution is disabled (or a caller copies explicitly through
-  /// the clone path), and the tuples those clones copied.
-  static std::atomic<uint64_t> relation_clones;
-  static std::atomic<uint64_t> cloned_tuples;
   /// O(1) overlay layerings handed out by Database::FindMutable.
   static std::atomic<uint64_t> overlays_created;
   /// Overlay maintenance: level merges (amortized-geometric) and
-  /// collapses to a flat state (the large-delta case).
+  /// collapses to a flat state (the large-delta case). A collapse is the
+  /// only O(|R|) copy of a relation the engines perform.
   static std::atomic<uint64_t> overlay_merges;
   static std::atomic<uint64_t> overlay_collapses;
 
@@ -146,19 +142,22 @@ class RelationIndexView {
 /// on. Iteration order is unspecified; use SortedTuples() for deterministic
 /// output.
 ///
-/// Overlay states: a Relation may layer local inserts (`tuples_`, the plus
-/// set) and deletes (`minus_`) over an immutable shared base state
-/// (MakeOverlay) — the visible contents are base ∪ plus ∖ minus, and every
-/// read (Contains, size, iteration, index views) sees exactly that without
-/// materializing. This is what makes a transaction session's first write
-/// to a relation O(1) instead of an O(|R|) copy-on-write clone: mutation
-/// cost is O(|delta|), the transaction-modification bound the paper's
-/// integrity checking is built around. Invariants maintained by
-/// Insert/Erase (and restored by level merges): minus ⊆ visible(base), and
-/// plus is disjoint from visible(base) ∖ minus. Overlay levels are
-/// immutable once shared (the Database ownership discipline); only the
-/// outermost level of an exclusively-owned state is ever mutated, so
-/// concurrent readers of shared inner levels are safe.
+/// Overlay states: a Relation may be an overlay *level* over an immutable
+/// shared base state (MakeOverlay). The level holds its own inserts and
+/// deletes as two flat Relations, plus() and minus(); the visible contents
+/// are base ∪ plus ∖ minus, and every read (Contains, size, iteration,
+/// index views) sees exactly that without materializing. This is what
+/// makes a transaction's first write to a relation O(1): mutation cost is
+/// O(|delta|), the transaction-modification bound the paper's integrity
+/// checking is built around. A level written only through Insert/Erase
+/// keeps plus ∩ base = ∅ and minus ⊆ base, so plus() and minus() are
+/// exactly its net change over the base: for a transaction's level over
+/// its pre-state they ARE the paper's dplus(R) and dminus(R). Merged
+/// levels keep the weaker invariants minus ⊆ visible(base) and plus
+/// disjoint from visible(base) ∖ minus. Overlay levels are immutable once
+/// shared (the Database ownership discipline); only the outermost level of
+/// an exclusively-owned state is ever mutated, so concurrent readers of
+/// shared inner levels are safe.
 ///
 /// Index semantics: declared indexes (IndexOn) hold pointers into the
 /// level-local tuple set, so *copies drop them* — a copy has no indexes
@@ -166,7 +165,7 @@ class RelationIndexView {
 /// on every Recompile; FindIndex never builds). Moves keep indexes:
 /// unordered_set nodes keep their addresses across a move. An overlay
 /// mirrors its base's declared attribute lists as (initially empty)
-/// local indexes at creation, so FindIndexView can compose the chain.
+/// indexes on its plus() relation, so FindIndexView can compose the chain.
 /// Mutation through Insert/Erase/Clear keeps every declared index
 /// coherent. Not thread-safe: one writer / no concurrent readers, like
 /// every other mutation of this class.
@@ -176,19 +175,9 @@ class Relation {
   explicit Relation(std::shared_ptr<const RelationSchema> schema)
       : schema_(std::move(schema)) {}
 
-  Relation(const Relation& other)
-      : schema_(other.schema_),
-        tuples_(other.tuples_),
-        minus_(other.minus_),
-        base_(other.base_) {}
+  Relation(const Relation& other);
   Relation& operator=(const Relation& other) {
-    if (this != &other) {
-      schema_ = other.schema_;
-      tuples_ = other.tuples_;
-      minus_ = other.minus_;
-      base_ = other.base_;
-      indexes_.clear();
-    }
+    if (this != &other) *this = Relation(other);
     return *this;
   }
   Relation(Relation&&) = default;
@@ -209,15 +198,13 @@ class Relation {
     // Invariants make the arithmetic exact: every minus entry shadows a
     // distinct visible base tuple, every plus entry is otherwise unseen.
     if (base_ == nullptr) return tuples_.size();
-    return base_->size() + tuples_.size() - minus_.size();
+    return base_->size() + plus_->size() - minus_->size();
   }
-  bool empty() const {
-    return base_ == nullptr ? tuples_.empty() : size() == 0;
-  }
+  bool empty() const { return size() == 0; }
 
   bool Contains(const Tuple& t) const {
-    if (tuples_.count(t) > 0) return true;
-    return base_ != nullptr && minus_.count(t) == 0 && base_->Contains(t);
+    if (base_ == nullptr) return tuples_.count(t) > 0;
+    return plus_->Contains(t) || (!minus_->Contains(t) && base_->Contains(t));
   }
 
   /// The stored node equal to `t`, or nullptr when not visible. The
@@ -226,10 +213,12 @@ class Relation {
   /// addresses even across container moves, which is what lets the
   /// transaction manager key its validation index by tuple node.
   const Tuple* FindTuple(const Tuple& t) const {
-    auto it = tuples_.find(t);
-    if (it != tuples_.end()) return &*it;
-    if (base_ != nullptr && minus_.count(t) == 0) return base_->FindTuple(t);
-    return nullptr;
+    if (base_ == nullptr) {
+      auto it = tuples_.find(t);
+      return it != tuples_.end() ? &*it : nullptr;
+    }
+    if (const Tuple* local = plus_->FindTuple(t)) return local;
+    return minus_->Contains(t) ? nullptr : base_->FindTuple(t);
   }
 
   /// Inserts `t`; returns true when the tuple was not visible before.
@@ -263,11 +252,10 @@ class Relation {
   /// callers fall back exactly as for FindIndex == nullptr.
   RelationIndexView FindIndexView(const std::vector<int>& attrs) const;
 
-  std::size_t index_count() const { return indexes_.size(); }
+  std::size_t index_count() const { return Local().indexes_.size(); }
 
   /// Attribute lists of every declared index, in declaration order. This
-  /// is what lets a copy-on-write clone or overlay (Database::FindMutable)
-  /// re-declare the indexes that the plain copy constructor drops.
+  /// is what lets an overlay (MakeOverlay) mirror the indexes of its base.
   std::vector<std::vector<int>> DeclaredIndexes() const;
 
   // -------------------------------------------------------------------
@@ -278,11 +266,21 @@ class Relation {
 
   bool is_overlay() const { return base_ != nullptr; }
 
+  /// An overlay level's base state and its own inserts and deletes over
+  /// it, as read-only flat relations; all three are null on a flat state.
+  /// No copy: plus() and minus() are the level's storage, so a
+  /// transaction's level exposes its dplus(R)/dminus(R) for free.
+  const Relation* base() const { return base_.get(); }
+  const Relation* plus() const { return plus_.get(); }
+  const Relation* minus() const { return minus_.get(); }
+
   /// Number of overlay levels above the flat base (0 for a flat state).
   std::size_t overlay_depth() const;
 
-  /// This level's local delta size: |plus| + |minus|.
-  std::size_t delta_weight() const { return tuples_.size() + minus_.size(); }
+  /// This level's local delta size: |plus| + |minus| (0 for a flat state).
+  std::size_t delta_weight() const {
+    return base_ == nullptr ? 0 : plus_->size() + minus_->size();
+  }
 
   /// Cumulative delta weight across every overlay level of the chain.
   std::size_t overlay_weight() const;
@@ -299,6 +297,13 @@ class Relation {
   /// base): O(delta weights of the two levels), the base level itself is
   /// only read. Returns false when there is no overlay base level.
   bool MergeOverlayLevel();
+
+  /// Applies this level's own delta to its base state in place (deleted
+  /// tuples erased, inserted tuples moved, not copied) and returns that
+  /// base; this level is left empty and flat. O(|delta|). The caller must
+  /// guarantee that nothing but this level still references the base
+  /// (Database::FoldLevel states the proof its callers give).
+  std::shared_ptr<Relation> FoldIntoBase();
 
   /// Post-commit compaction policy: geometrically merge overlay levels
   /// (amortized O(log) merges per changed tuple), then collapse flat once
@@ -355,7 +360,7 @@ class Relation {
   };
 
   ConstIterator begin() const {
-    return ConstIterator(this, this, tuples_.begin());
+    return ConstIterator(this, this, Local().tuples_.begin());
   }
   ConstIterator end() const { return ConstIterator(); }
 
@@ -369,18 +374,26 @@ class Relation {
   std::string ToString(std::size_t max_tuples = 16) const;
 
  private:
+  /// The flat relation holding this level's own tuples: *this for a flat
+  /// state, plus() for an overlay level.
+  const Relation& Local() const { return base_ == nullptr ? *this : *plus_; }
+
   /// This level's own declared index on `attrs` (ignores the chain).
   const RelationIndex* FindLocalIndex(const std::vector<int>& attrs) const;
 
+  /// Turns this state flat with `contents`, keeping its declared indexes.
+  void BecomeFlat(std::unordered_set<Tuple, TupleHasher> contents);
+
   std::shared_ptr<const RelationSchema> schema_;
-  // The level-local tuple set: the whole contents of a flat state, the
-  // plus (insert) set of an overlay level.
+  // A flat state's contents and declared indexes (unused by overlays).
   std::unordered_set<Tuple, TupleHasher> tuples_;
-  // Overlay state. minus_ holds base tuples this level deleted; base_ is
-  // the immutable shared state underneath (null == flat).
-  std::unordered_set<Tuple, TupleHasher> minus_;
-  std::shared_ptr<const Relation> base_;
   std::vector<std::unique_ptr<RelationIndex>> indexes_;
+  // Overlay level: the immutable shared state underneath (null == flat)
+  // and this level's own inserts and deletes, both flat; plus_ carries
+  // the mirrored declared indexes.
+  std::shared_ptr<const Relation> base_;
+  std::unique_ptr<Relation> plus_;
+  std::unique_ptr<Relation> minus_;
 };
 
 }  // namespace txmod

@@ -48,12 +48,12 @@ Status ExecuteStatement(const algebra::Statement& stmt, TxnContext* ctx,
                         TxnResult* result);
 
 /// Runs every statement of `txn` through `ctx` WITHOUT committing: on
-/// clean completion the context still holds its differentials (and
+/// clean completion the context still holds its overlay levels (and
 /// read/footprint records) so the caller decides the transaction's fate —
 /// ExecuteTransaction commits immediately; a TxnManager session carries
-/// the differentials to commit-time validation instead. On an alarm or
-/// abort statement the context is rolled back (every recorded change
-/// undone) and the result reports the reason with committed == false; on
+/// the levels to commit-time validation instead. On an alarm or abort
+/// statement the context is rolled back (the pre-state assigned back)
+/// and the result reports the reason with committed == false; on
 /// malformed statements the context is rolled back and the error Status
 /// surfaces. `result.committed == true` therefore means "ran to
 /// completion, ready to commit", not "installed".

@@ -6,32 +6,38 @@ namespace txmod::txn {
 
 using algebra::RelRefKind;
 
+TxnContext::TxnContext(Database* db) : db_(db) {
+  for (const std::string& name : db->RelationNames()) {
+    empty_deltas_.emplace(name, Relation((*db->Find(name))->schema_ptr()));
+  }
+}
+
 Result<const Relation*> TxnContext::Resolve(RelRefKind kind,
                                             const std::string& name) const {
   if (track_conflicts_ &&
       (kind == RelRefKind::kBase || kind == RelRefKind::kOld)) {
     base_reads_.insert(name);
   }
-  return ResolveData(kind, name);
+  return ResolveUnrecorded(kind, name);
 }
 
 Result<const Relation*> TxnContext::ResolveSchemaOnly(
     RelRefKind kind, const std::string& name) const {
-  if (kind == RelRefKind::kOld) {
-    // old(R) has exactly R's schema; a schema-only access must not pay
-    // for materializing the old view of a possibly huge relation.
-    return db_->Find(name);
-  }
-  return ResolveData(kind, name);
+  return ResolveUnrecorded(kind, name);
 }
 
-Result<const Relation*> TxnContext::ResolveData(
+const Relation* TxnContext::Level(const std::string& name) const {
+  if (!pre_.has_value()) return nullptr;
+  Result<const Relation*> now = db_->Find(name);
+  Result<const Relation*> old = pre_->Find(name);
+  return now.ok() && old.ok() && *now != *old ? *now : nullptr;
+}
+
+Result<const Relation*> TxnContext::ResolveUnrecorded(
     RelRefKind kind, const std::string& name) const {
   switch (kind) {
-    case RelRefKind::kBase: {
-      TXMOD_ASSIGN_OR_RETURN(const Relation* rel, db_->Find(name));
-      return rel;
-    }
+    case RelRefKind::kBase:
+      return db_->Find(name);
     case RelRefKind::kTemp: {
       auto it = temps_.find(name);
       if (it == temps_.end()) {
@@ -39,37 +45,19 @@ Result<const Relation*> TxnContext::ResolveData(
       }
       return &it->second;
     }
-    case RelRefKind::kOld: {
-      auto cached = old_cache_.find(name);
-      if (cached != old_cache_.end()) return &cached->second;
-      TXMOD_ASSIGN_OR_RETURN(const Relation* rel, db_->Find(name));
-      // R_pre = (R \ plus) ∪ minus; invariant of Differential.
-      Relation old_view(rel->schema_ptr());
-      auto dit = diffs_.find(name);
-      const Differential* diff = dit != diffs_.end() ? &dit->second : nullptr;
-      for (const Tuple& t : *rel) {
-        if (diff == nullptr || !diff->plus.Contains(t)) old_view.Insert(t);
-      }
-      if (diff != nullptr) {
-        for (const Tuple& t : diff->minus) old_view.Insert(t);
-      }
-      auto [it, inserted] = old_cache_.emplace(name, std::move(old_view));
-      return &it->second;
-    }
+    case RelRefKind::kOld:
+      return pre_.has_value() ? pre_->Find(name) : db_->Find(name);
     case RelRefKind::kDeltaPlus:
     case RelRefKind::kDeltaMinus: {
-      auto dit = diffs_.find(name);
-      if (dit != diffs_.end()) {
-        return kind == RelRefKind::kDeltaPlus ? &dit->second.plus
-                                              : &dit->second.minus;
+      if (const Relation* level = Level(name)) {
+        return kind == RelRefKind::kDeltaPlus ? level->plus()
+                                              : level->minus();
       }
-      // Untouched relation: an empty relation with the base schema.
-      auto eit = empty_diffs_.find(name);
-      if (eit == empty_diffs_.end()) {
-        TXMOD_ASSIGN_OR_RETURN(const Relation* rel, db_->Find(name));
-        eit = empty_diffs_.emplace(name, Relation(rel->schema_ptr())).first;
+      auto it = empty_deltas_.find(name);
+      if (it == empty_deltas_.end()) {
+        return Status::NotFound(StrCat("no delta of relation ", name));
       }
-      return &eit->second;
+      return &it->second;
     }
   }
   return Status::Internal("unknown RelRefKind");
@@ -79,16 +67,23 @@ void TxnContext::SetTemp(const std::string& name, Relation value) {
   temps_.insert_or_assign(name, std::move(value));
 }
 
-Differential& TxnContext::MutableDiff(const std::string& rel) {
-  auto it = diffs_.find(rel);
-  if (it == diffs_.end()) {
-    const Relation* base = *db_->Find(rel);
-    Differential d;
-    d.plus = Relation(base->schema_ptr());
-    d.minus = Relation(base->schema_ptr());
-    it = diffs_.emplace(rel, std::move(d)).first;
+Result<Relation*> TxnContext::MutableLevel(const std::string& rel,
+                                           const Relation* current) {
+  if (!pre_.has_value()) {
+    for (std::string& name : db_->RelationNames()) {
+      if (db_->Owns(name)) foldable_.insert(std::move(name));
+    }
+    pre_.emplace(db_->Clone());
   }
-  return it->second;
+  TXMOD_ASSIGN_OR_RETURN(Relation * level, db_->FindMutable(rel));
+  // A new level must sit directly on old(rel), or its plus/minus would
+  // not be the transaction's whole delta (copying the database mid-
+  // transaction would cause that).
+  if (level != current && level->base() != *pre_->Find(rel)) {
+    return Status::Internal(
+        StrCat("relation ", rel, " was re-layered mid-transaction"));
+  }
+  return level;
 }
 
 void TxnContext::RecordFootprint(const std::string& rel,
@@ -105,10 +100,10 @@ void TxnContext::RecordFootprint(const std::string& rel,
 }
 
 Result<bool> TxnContext::InsertTuple(const std::string& rel, Tuple tuple) {
-  // Probe the const view first: a no-op insert (tuple already present)
-  // must not trigger a copy-on-write clone of the whole relation. Under
-  // conflict tracking the footprint is recorded either way — whether it
-  // WAS a no-op is a tuple-granularity read of the committed state.
+  // Under conflict tracking the footprint is recorded either way and a
+  // no-op (tuple already present) returns before any level exists —
+  // whether it WAS a no-op is a tuple-granularity read of the committed
+  // state.
   TXMOD_ASSIGN_OR_RETURN(const Relation* current, db_->Find(rel));
   TXMOD_RETURN_IF_ERROR(current->schema().CheckTuple(tuple));
   Tuple coerced = current->schema().CoerceTuple(std::move(tuple));
@@ -116,12 +111,8 @@ Result<bool> TxnContext::InsertTuple(const std::string& rel, Tuple tuple) {
     RecordFootprint(rel, *current, coerced);
     if (current->Contains(coerced)) return false;  // already present
   }
-  TXMOD_ASSIGN_OR_RETURN(Relation * target, db_->FindMutable(rel));
-  if (!target->Insert(coerced)) return false;  // already present: no-op
-  Differential& d = MutableDiff(rel);
-  // Re-inserting a tuple the transaction deleted nets out to "unchanged".
-  if (!d.minus.Erase(coerced)) d.plus.Insert(std::move(coerced));
-  return true;
+  TXMOD_ASSIGN_OR_RETURN(Relation * level, MutableLevel(rel, current));
+  return level->Insert(std::move(coerced));
 }
 
 Result<bool> TxnContext::DeleteTuple(const std::string& rel,
@@ -132,46 +123,55 @@ Result<bool> TxnContext::DeleteTuple(const std::string& rel,
     RecordFootprint(rel, *current, coerced);
     if (!current->Contains(coerced)) return false;  // absent: no-op
   }
-  TXMOD_ASSIGN_OR_RETURN(Relation * target, db_->FindMutable(rel));
-  if (!target->Erase(coerced)) return false;  // absent: no-op
-  Differential& d = MutableDiff(rel);
-  // Deleting a tuple the transaction inserted nets out to "unchanged".
-  if (!d.plus.Erase(coerced)) d.minus.Insert(coerced);
-  return true;
+  TXMOD_ASSIGN_OR_RETURN(Relation * level, MutableLevel(rel, current));
+  return level->Erase(coerced);
 }
 
-const Differential& TxnContext::diff(const std::string& rel) const {
-  static const Differential kEmpty;
-  auto it = diffs_.find(rel);
-  return it != diffs_.end() ? it->second : kEmpty;
-}
-
-std::vector<std::string> TxnContext::TouchedRelations() const {
-  std::vector<std::string> out;
-  out.reserve(diffs_.size());
-  for (const auto& [name, diff] : diffs_) {
-    if (!diff.plus.empty() || !diff.minus.empty()) out.push_back(name);
+std::vector<std::pair<std::string, const Relation*>>
+TxnContext::WrittenLevels() const {
+  std::vector<std::pair<std::string, const Relation*>> out;
+  for (std::string& name : db_->RelationNames()) {
+    if (const Relation* level = Level(name)) out.emplace_back(name, level);
   }
   return out;
 }
 
-void TxnContext::Rollback() {
-  for (auto& [name, diff] : diffs_) {
-    Relation* rel = *db_->FindMutable(name);
-    for (const Tuple& t : diff.plus) rel->Erase(t);
-    for (const Tuple& t : diff.minus) rel->Insert(t);
+bool TxnContext::PreStateUnshared(
+    const std::vector<std::pair<std::string, const Relation*>>& levels)
+    const {
+  // A copy since pre_ un-owns the first level, made together with pre_;
+  // a relation written again after it gets a new level over the old one.
+  if (levels.empty()) return false;
+  for (const auto& [name, level] : levels) {
+    if (!db_->Owns(name) || level->base() != *pre_->Find(name)) return false;
   }
-  diffs_.clear();
+  return true;
+}
+
+void TxnContext::Rollback() {
+  if (pre_.has_value()) {
+    const bool unshared = PreStateUnshared(WrittenLevels());
+    *db_ = std::move(*pre_);  // drops this database's levels
+    if (unshared) db_->Reown(foldable_);
+  }
+  pre_.reset();
+  foldable_.clear();
   temps_.clear();
-  old_cache_.clear();
-  empty_diffs_.clear();
 }
 
 void TxnContext::Commit() {
-  diffs_.clear();
+  const auto levels = WrittenLevels();
+  const bool unshared = PreStateUnshared(levels);
+  pre_.reset();  // the only other holder of a foldable pre-state
+  for (const auto& [name, level] : levels) {
+    // Not owned: a mid-transaction copy shares the level; leave it.
+    if (!db_->Owns(name)) continue;
+    if (unshared && foldable_.count(name) > 0) db_->FoldLevel(name);
+    (*db_->FindMutable(name))->CompactOverlay();
+  }
+  if (unshared) db_->Reown(foldable_);
+  foldable_.clear();
   temps_.clear();
-  old_cache_.clear();
-  empty_diffs_.clear();
   base_reads_.clear();
   footprint_.clear();
   db_->AdvanceTime();

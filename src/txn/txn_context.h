@@ -2,9 +2,11 @@
 #define TXMOD_TXN_TXN_CONTEXT_H_
 
 #include <map>
-#include <memory>
+#include <optional>
 #include <set>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "src/algebra/eval_context.h"
 #include "src/algebra/physical_plan.h"
@@ -17,40 +19,38 @@ class ThreadPool;
 
 namespace txmod::txn {
 
-/// Net changes of one transaction to one relation, maintained with the
-/// invariant  R_pre = (R \ plus) ∪ minus  and  plus ∩ minus = ∅.
-///
-/// These sets serve three purposes at once:
-///  1. they are the *undo log* that implements atomicity (Section 2.2:
-///     T(D) = [D^{t,n}] or T(D) = D);
-///  2. they are the paper's *auxiliary relations* dplus(R) / dminus(R)
-///     available to integrity programs (Section 4.1);
-///  3. they drive the differential optimization of rule conditions
-///     (Section 5.2.1, references [18, 5, 7]).
-struct Differential {
-  Relation plus;   // tuples in R now but not in the pre-transaction state
-  Relation minus;  // tuples in the pre-transaction state but not in R now
-};
-
 /// Transaction-local execution state over a Database: the intermediate
-/// states D^{t,i} of Definition 2.6. Statements mutate the database in
-/// place while the context records differentials for rollback, exposes the
-/// temporaries created by assignments, and materializes the pre-transaction
-/// views old(R) on demand.
+/// states D^{t,i} of Definition 2.6. At the transaction's first write the
+/// context clones its database (O(#relations)); that clone is the
+/// pre-transaction state D^t. Each relation the transaction then writes
+/// gets exactly one private overlay level over its D^t state
+/// (Database::FindMutable), so the transaction's writes exist once, in
+/// that level, and the paper's relations are read straight from it:
+///
+///  * R is the level itself (the current intermediate state);
+///  * old(R) is R's state in the pre-state clone — no copy;
+///  * dplus(R) / dminus(R) (Section 4.1's auxiliary relations, which
+///    also drive the differential rule checks of Section 5.2.1) are the
+///    level's own plus()/minus() storage — no copy;
+///  * rollback (Section 2.2: T(D) = D) assigns the pre-state back.
+///
+/// Until the first write the database *is* the pre-state. Assignments'
+/// temporaries live in the context.
 class TxnContext : public algebra::EvalContext {
  public:
-  explicit TxnContext(Database* db) : db_(db) {}
+  explicit TxnContext(Database* db);
 
   /// EvalContext: resolves base relations against the current intermediate
-  /// state, kTemp against the transaction-local environment, kOld /
-  /// kDeltaPlus / kDeltaMinus against the differential bookkeeping.
-  /// Under conflict tracking, resolving kBase or kOld records the
-  /// relation in BaseReads (the optimistic read set); ResolveSchemaOnly
-  /// resolves the same relation but records nothing and never
-  /// materializes old() views — the evaluator uses it where only the
-  /// result shape is needed (e.g. the base side of a join whose
-  /// differential side is empty), keeping the read set free of false
-  /// conflicts.
+  /// state, kTemp against the transaction-local environment, kOld against
+  /// the pre-state, kDeltaPlus / kDeltaMinus against the transaction's
+  /// overlay levels (an empty relation for one it has not written). Never
+  /// copies or caches anything, so concurrent resolution is safe while no
+  /// statement writes. Under conflict tracking, resolving kBase or kOld
+  /// records the relation in BaseReads (the optimistic read set);
+  /// ResolveSchemaOnly resolves the same relation but records nothing —
+  /// the evaluator uses it where only the result shape is needed (e.g. the
+  /// base side of a join whose differential side is empty), keeping the
+  /// read set free of false conflicts.
   Result<const Relation*> Resolve(algebra::RelRefKind kind,
                                   const std::string& name) const override;
   Result<const Relation*> ResolveSchemaOnly(
@@ -82,13 +82,9 @@ class TxnContext : public algebra::EvalContext {
   /// a concurrent check task, whose reads are recorded separately (in
   /// statement order, only up to an aborting alarm) via RecordBaseRead so
   /// the optimistic footprint stays identical to serial execution.
-  /// Thread-compatible, NOT thread-safe: kOld and kDeltaPlus/kDeltaMinus
-  /// fill mutable caches — concurrent callers must serialize (the
-  /// executor's LockedCheckContext holds one mutex across all tasks).
+  /// Thread-safe against other resolutions (it only reads).
   Result<const Relation*> ResolveUnrecorded(algebra::RelRefKind kind,
-                                            const std::string& name) const {
-    return ResolveData(kind, name);
-  }
+                                            const std::string& name) const;
 
   /// Records one base-relation read into the optimistic read set, as if
   /// Resolve(kBase/kOld, name) had run under conflict tracking.
@@ -99,23 +95,19 @@ class TxnContext : public algebra::EvalContext {
   /// Stores (replaces) a temporary relation.
   void SetTemp(const std::string& name, Relation value);
 
-  /// Inserts one schema-checked, coerced tuple into base relation `rel`,
-  /// maintaining differentials. Returns true when the tuple was new.
+  /// Inserts one schema-checked, coerced tuple into base relation `rel`
+  /// (into the transaction's level of it). Returns true when the tuple
+  /// was new.
   Result<bool> InsertTuple(const std::string& rel, Tuple tuple);
 
   /// Deletes one tuple; returns true when the tuple was present.
   Result<bool> DeleteTuple(const std::string& rel, const Tuple& tuple);
 
-  /// The differential of `rel` (empty differentials for untouched ones).
-  const Differential& diff(const std::string& rel) const;
-
-  /// Every differential, keyed by relation (the commit-time write set).
-  const std::map<std::string, Differential>& AllDiffs() const {
-    return diffs_;
-  }
-
-  /// Names of relations touched by the transaction so far.
-  std::vector<std::string> TouchedRelations() const;
+  /// Every relation the transaction has written, in name order, with its
+  /// overlay level: level->plus() is dplus(R), level->minus() is
+  /// dminus(R). A level whose changes netted out has both empty. This is
+  /// the commit-time write set.
+  std::vector<std::pair<std::string, const Relation*>> WrittenLevels() const;
 
   // -------------------------------------------------------------------
   // Conflict footprint for optimistic (snapshot) execution. A session
@@ -148,38 +140,53 @@ class TxnContext : public algebra::EvalContext {
     return footprint_;
   }
 
-  /// Undoes every recorded change; the database returns to its
-  /// pre-transaction state. Temporaries are dropped. BaseReads and
-  /// WriteFootprint survive: an aborted transaction's outcome (the
-  /// abort) was still decided by what it read, and the transaction
-  /// manager validates that against concurrent commits too.
+  /// Undoes every change by assigning the pre-state back. Temporaries are
+  /// dropped. BaseReads and WriteFootprint survive: an aborted
+  /// transaction's outcome (the abort) was still decided by what it read,
+  /// and the transaction manager validates that against concurrent
+  /// commits too.
   void Rollback();
 
-  /// Drops transaction-local state and advances the database's logical
-  /// time: D^{t+1} is installed (Definition 2.6's end bracket).
+  /// Installs D^{t+1} (Definition 2.6's end bracket): a written level
+  /// whose pre-state only this database held is folded back into it in
+  /// place (Database::FoldLevel, O(|delta|)); every other written level
+  /// it owns runs the manager's policy (Relation::CompactOverlay). Drops
+  /// transaction-local state and advances the logical time.
   void Commit();
 
  private:
-  Differential& MutableDiff(const std::string& rel);
+  /// The transaction's level of `rel`, taking the pre-state snapshot
+  /// first when this is the transaction's first write.
+  Result<Relation*> MutableLevel(const std::string& rel,
+                                 const Relation* current);
+  /// The transaction's level of `name`, or null when it has not written
+  /// the relation.
+  const Relation* Level(const std::string& name) const;
+  /// True when no copy of the database was taken since pre_ (each written
+  /// level is owned and sits on its pre-state): only pre_ shares foldable_.
+  bool PreStateUnshared(
+      const std::vector<std::pair<std::string, const Relation*>>& levels)
+      const;
   void RecordFootprint(const std::string& rel, const Relation& target,
                        const Tuple& t);
-  Result<const Relation*> ResolveData(algebra::RelRefKind kind,
-                                      const std::string& name) const;
 
   Database* db_;
   algebra::PlanCache* plan_cache_ = nullptr;
   parallel::ThreadPool* check_pool_ = nullptr;
+  // D^t, taken at the first write; empty until then.
+  std::optional<Database> pre_;
+  // Relations the database owned when pre_ was taken. While no copy is
+  // taken, Commit folds their levels back and Commit/Rollback re-own them.
+  std::set<std::string> foldable_;
   std::map<std::string, Relation> temps_;
-  std::map<std::string, Differential> diffs_;
+  // dplus/dminus of relations the transaction has not written: one empty
+  // relation per relation of the database, built at construction.
+  std::map<std::string, Relation> empty_deltas_;
   // Conflict footprint (see BaseReads/WriteFootprint). base_reads_ is
   // mutable because reads are recorded from const Resolve.
   bool track_conflicts_ = false;
   mutable std::set<std::string> base_reads_;
   std::map<std::string, Relation> footprint_;
-  // old(R) views are immutable once the transaction starts, so the cache
-  // never needs invalidation. Mutable: filled lazily from const Resolve.
-  mutable std::map<std::string, Relation> old_cache_;
-  mutable std::map<std::string, Relation> empty_diffs_;
 };
 
 }  // namespace txmod::txn

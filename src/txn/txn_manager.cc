@@ -100,8 +100,6 @@ Result<std::unique_ptr<TxnManager>> TxnManager::Create(
         opts.parallel_check_workers);
   }
   Vfs* vfs = manager->vfs_;
-  // Session snapshots inherit the mode from the master via Clone().
-  manager->db_->set_overlay_enabled(opts.overlay_sessions);
   if (!opts.wal_path.empty()) {
     if (!opts.checkpoint_path.empty() &&
         ::access(opts.checkpoint_path.c_str(), F_OK) != 0) {
@@ -126,12 +124,13 @@ Result<std::unique_ptr<TxnManager>> TxnManager::Create(
 }
 
 std::unique_ptr<TxnSession> TxnManager::Begin() {
-  std::lock_guard<std::mutex> lock(commit_mu_);
+  std::unique_lock<std::mutex> lock(commit_mu_);
   // Snapshot under the commit lock: copy-on-write sharing requires that
   // nobody mutates the master while its relation pointers are copied.
   Database snapshot = db_->Clone();
   const uint64_t version = db_->logical_time();
   active_sessions_.fetch_add(1);  // released by TxnSession::Finish
+  lock.unlock();  // the session (and its context) is built outside
   return std::unique_ptr<TxnSession>(
       new TxnSession(this, std::move(snapshot), version));
 }
@@ -454,24 +453,24 @@ Result<TxnResult> TxnManager::CommitSession(TxnSession* session) {
   const bool aborted = session->state_ == TxnSession::State::kAborted;
 
   // -- Stage A: collect (no lock) --------------------------------------
-  // Net-delta collection and record assembly read only session-private
-  // state, so they run before the critical section. Relations whose
-  // changes netted out publish nothing — serially equivalent and keeps
-  // the WAL dense.
+  // Record assembly reads only the session's own overlay levels (their
+  // plus/minus are the net deltas), so it runs before the critical
+  // section. Relations whose changes netted out publish nothing —
+  // serially equivalent and keeps the WAL dense.
   WalRecord wal_record;  // outlives stage B: the durability-failure
                          // unwind reverse-applies its deltas
   CommitRecord commit_record;
   if (!aborted) {
-    for (const auto& [name, diff] : session->ctx_.AllDiffs()) {
-      if (diff.plus.empty() && diff.minus.empty()) continue;
+    for (const auto& [name, level] : session->ctx_.WrittenLevels()) {
+      if (level->delta_weight() == 0) continue;
       WalDelta delta;
       delta.relation = name;
-      Relation touched(diff.plus.schema_ptr());
-      for (const Tuple& t : diff.plus) {
+      Relation touched(level->schema_ptr());
+      for (const Tuple& t : *level->plus()) {
         delta.plus.push_back(t);
         touched.Insert(t);
       }
-      for (const Tuple& t : diff.minus) {
+      for (const Tuple& t : *level->minus()) {
         delta.minus.push_back(t);
         touched.Insert(t);
       }
@@ -534,15 +533,14 @@ Result<TxnResult> TxnManager::CommitSession(TxnSession* session) {
     commit_record.version = version;
 
     // Install into the committed master. Fast path: when nothing
-    // committed since this session's snapshot, the session's private
-    // copy-on-write clone of a written relation IS the exact post-commit
-    // state (snapshot plus this transaction's changes, indexes
-    // re-declared) — adopt it by pointer swap instead of re-copying the
-    // whole relation. The ownership discipline proves sole ownership:
-    // TakeOwnedRelation succeeds only for states the session cloned
-    // itself and never shared out. Otherwise (interleaved commits, or a
-    // shared state), FindMutable's copy-on-write applies the delta while
-    // every outstanding snapshot keeps reading its pinned state.
+    // committed since this session's snapshot, the session's overlay
+    // level of a written relation IS the exact post-commit state (its
+    // base is the master's current state) — adopt the level by pointer
+    // swap. The ownership discipline proves sole ownership:
+    // TakeOwnedRelation succeeds only for states the session layered
+    // itself and never shared out. Otherwise (interleaved commits),
+    // FindMutable layers a master level and the delta is applied to it
+    // while every outstanding snapshot keeps reading its pinned state.
     const bool snapshot_is_current =
         session->snapshot_version_ == db_->logical_time();
     for (const WalDelta& delta : wal_record.deltas) {
@@ -816,7 +814,6 @@ TxnManagerStats TxnManager::stats() const {
     std::lock_guard<std::mutex> lock(degraded_cause_mu_);
     out.degraded_cause = degraded_cause_;
   }
-  out.cow_relation_clones = CowStats::relation_clones.load();
   out.cow_overlays_created = CowStats::overlays_created.load();
   out.cow_overlay_merges = CowStats::overlay_merges.load();
   out.cow_overlay_collapses = CowStats::overlay_collapses.load();

@@ -53,13 +53,6 @@ struct TxnManagerOptions {
   /// land during one session's lifetime.
   std::size_t validation_window = 1024;
 
-  /// When true (default), a session's first write to a relation layers an
-  /// O(1) overlay over the shared snapshot state and commits merge or
-  /// collapse the overlay (mutation cost O(|delta|)). When false, first
-  /// writes pay the legacy O(|R|) copy-on-write clone — kept as the
-  /// baseline the overlay-vs-clone oracle compares against.
-  bool overlay_sessions = true;
-
   /// Storage-and-clock environment every WAL/checkpoint byte and every
   /// backoff clock read goes through. nullptr = the real POSIX
   /// environment; tests substitute a FaultInjectingVfs. Must outlive the
@@ -128,8 +121,7 @@ struct TxnManagerStats {
   bool degraded = false;
   std::string degraded_cause;
 
-  /// Copy-on-write / overlay instrumentation (process-wide CowStats).
-  uint64_t cow_relation_clones = 0;
+  /// Overlay instrumentation (process-wide CowStats).
   uint64_t cow_overlays_created = 0;
   uint64_t cow_overlay_merges = 0;
   uint64_t cow_overlay_collapses = 0;

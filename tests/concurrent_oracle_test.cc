@@ -4,8 +4,11 @@
 // order (the manager's serialization order) — the linearizability-style
 // check for first-committer-wins validation over snapshots. Runs with a
 // live WAL so group commit is exercised under the same concurrency, and
-// verifies the recovered state matches too. The thread counts can be
-// extended via TXMOD_ORACLE_THREADS (the CI stress job sets it high).
+// verifies the recovered state matches too. Both the live and the
+// recovered final state must also pass the independent full check (the
+// post-hoc checker, no differential simplification), so a check bug the
+// engines share cannot hide behind their agreement. The thread counts can
+// be extended via TXMOD_ORACLE_THREADS (the CI stress job sets it high).
 
 #include <unistd.h>
 
@@ -41,13 +44,6 @@ Database MakeInitialDatabase() {
   return db;
 }
 
-void DefineConstraints(core::IntegritySubsystem* ics) {
-  TXMOD_ASSERT_OK(
-      ics->DefineConstraint("domain", bench::DomainConstraint()));
-  TXMOD_ASSERT_OK(
-      ics->DefineConstraint("refint", bench::RefIntConstraint()));
-}
-
 /// One pre-generated transaction: deterministic, so the serial replay
 /// re-executes exactly what the concurrent run executed.
 struct WorkItem {
@@ -57,7 +53,8 @@ struct WorkItem {
 
 /// A mix of valid inserts (thread-disjoint ids), violating inserts
 /// (domain + referential), contended key deletes/re-inserts (the
-/// conflict knob), and fk deletes.
+/// conflict knob), and fk inserts referencing contended keys (which
+/// race those deletes: the write-skew shape).
 std::vector<WorkItem> MakeThreadWorkload(int thread_id, unsigned seed) {
   std::mt19937 rng(seed);
   auto pick = [&](int n) {
@@ -68,7 +65,7 @@ std::vector<WorkItem> MakeThreadWorkload(int thread_id, unsigned seed) {
   for (int i = 0; i < kTxnsPerThread; ++i) {
     Transaction txn;
     std::string trace;
-    switch (pick(6)) {
+    switch (pick(7)) {
       case 0:
       case 1: {  // valid fk insert batch (ids disjoint across threads)
         std::vector<Tuple> tuples;
@@ -114,7 +111,7 @@ std::vector<WorkItem> MakeThreadWorkload(int thread_id, unsigned seed) {
         trace = "shared key insert";
         break;
       }
-      default: {  // negative amount: domain abort
+      case 5: {  // negative amount: domain abort
         txn.program.statements.push_back(algebra::Statement::Insert(
             "fk_rel",
             algebra::RelExpr::Literal(
@@ -123,6 +120,19 @@ std::vector<WorkItem> MakeThreadWorkload(int thread_id, unsigned seed) {
                         Value::Double(-1.0)})},
                 3)));
         trace = "negative amount insert";
+        break;
+      }
+      default: {  // fk insert on a contended key: the write-skew shape
+        // against concurrent deletes of that key (valid only while the
+        // key exists, so it commits or aborts depending on the order).
+        txn.program.statements.push_back(algebra::Statement::Insert(
+            "fk_rel",
+            algebra::RelExpr::Literal(
+                {Tuple({Value::Int(next_id++),
+                        Value::String(StrCat("x", pick(kSharedKeys))),
+                        Value::Double(2.0)})},
+                3)));
+        trace = "fk insert on shared key";
         break;
       }
     }
@@ -168,7 +178,7 @@ TEST_P(ConcurrentOracleTest, FinalStateMatchesSerialReplayInCommitOrder) {
   Database db = MakeInitialDatabase();
   Database initial = db.Clone();
   core::IntegritySubsystem ics(&db);
-  DefineConstraints(&ics);
+  TXMOD_ASSERT_OK(testing::DefineKeyFkConstraints(&ics));
   TXMOD_ASSERT_OK_AND_ASSIGN(auto manager,
                              TxnManager::Create(&ics, options));
 
@@ -224,7 +234,7 @@ TEST_P(ConcurrentOracleTest, FinalStateMatchesSerialReplayInCommitOrder) {
   // must also commit serially, and the final states must agree exactly.
   Database replay_db = initial.Clone();
   core::IntegritySubsystem replay_ics(&replay_db);
-  DefineConstraints(&replay_ics);
+  TXMOD_ASSERT_OK(testing::DefineKeyFkConstraints(&replay_ics));
   for (const CommittedTxn& c : order) {
     TXMOD_ASSERT_OK_AND_ASSIGN(
         TxnResult replayed,
@@ -244,6 +254,8 @@ TEST_P(ConcurrentOracleTest, FinalStateMatchesSerialReplayInCommitOrder) {
   EXPECT_TRUE(db.SameState(replay_db))
       << "concurrent final state differs from serial replay in commit "
        "order";
+  EXPECT_TRUE(testing::SatisfiesKeyFkConstraints(db))
+      << "committed final state violates a constraint";
 
   // The sanity arithmetic: installed commits advanced the version.
   const uint64_t installed = static_cast<uint64_t>(std::count_if(
@@ -259,6 +271,8 @@ TEST_P(ConcurrentOracleTest, FinalStateMatchesSerialReplayInCommitOrder) {
   EXPECT_TRUE(recovered.SameState(db))
       << "checkpoint+WAL recovery diverges from the live state";
   EXPECT_EQ(recovered.logical_time(), db.logical_time());
+  EXPECT_TRUE(testing::SatisfiesKeyFkConstraints(recovered))
+      << "recovered state violates a constraint";
 
   std::error_code ec;
   std::filesystem::remove_all(dir, ec);

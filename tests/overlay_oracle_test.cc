@@ -1,21 +1,18 @@
-// Overlay-vs-clone oracle: overlay execution (a session's first write
-// layers an O(1) overlay over the shared snapshot) is a pure cost
-// optimization — it must be observationally IDENTICAL to the legacy
-// O(|R|) copy-on-write clone path. Two pins:
+// Overlay-session oracle: every session writes into overlay levels over
+// its snapshot, and commits adopt or re-apply those levels. Checked
+// against two independent references:
 //
 //  1. a deterministic randomized session script (interleaved sessions,
 //     conflicts, integrity aborts, multi-execute sessions, explicit
-//     aborts) driven step-for-step against two managers that differ
-//     only in TxnManagerOptions::overlay_sessions — every Execute and
-//     Commit outcome, every commit version, and the final state must
-//     agree exactly;
+//     aborts) run against one manager: the final state must equal the
+//     serial replay of the committed sessions' transactions in commit
+//     order, every committed session must also commit serially, and the
+//     final state must pass the full post-hoc constraint check;
 //
-//  2. a multi-threaded workload with a scheduling-independent final
-//     state (disjoint inserts plus per-thread contended keys, retried
-//     through Run) executed once per mode — both modes must converge to
-//     the same state and version, with commit compaction and shared
-//     overlay levels exercised under real concurrency (this test runs
-//     in the TSan CI job).
+//  2. a multi-threaded workload (disjoint inserts plus per-thread
+//     contended keys, retried through Run) with the same two checks,
+//     exercising commit compaction and shared overlay levels under real
+//     concurrency (this test runs in the TSan CI job).
 
 #include <algorithm>
 #include <atomic>
@@ -47,13 +44,32 @@ Database MakeInitialDatabase() {
   return db;
 }
 
-void DefineConstraints(core::IntegritySubsystem* ics) {
-  TXMOD_ASSERT_OK(ics->DefineConstraint("domain", bench::DomainConstraint()));
-  TXMOD_ASSERT_OK(ics->DefineConstraint("refint", bench::RefIntConstraint()));
+/// Replays `committed` (each entry one committed unit's transactions, in
+/// commit order) serially from `initial` and checks that every
+/// transaction commits there too and the final state equals `live`.
+void ExpectSerialReplayMatches(
+    const Database& initial,
+    const std::vector<std::vector<const Transaction*>>& committed,
+    const Database& live) {
+  Database replay_db = initial.Clone();
+  core::IntegritySubsystem replay_ics(&replay_db);
+  TXMOD_ASSERT_OK(testing::DefineKeyFkConstraints(&replay_ics));
+  for (std::size_t i = 0; i < committed.size(); ++i) {
+    for (const Transaction* txn : committed[i]) {
+      TXMOD_ASSERT_OK_AND_ASSIGN(TxnResult replayed,
+                                 replay_ics.Execute(*txn));
+      ASSERT_TRUE(replayed.committed)
+          << "commit #" << i << " aborts in serial replay: "
+          << replayed.abort_reason;
+    }
+  }
+  EXPECT_TRUE(live.SameState(replay_db))
+      << "final state differs from serial replay in commit order";
+  EXPECT_TRUE(testing::SatisfiesKeyFkConstraints(live));
 }
 
 // ---------------------------------------------------------------------------
-// Pin 1: deterministic session script, replayed against both modes.
+// Pin 1: deterministic session script.
 // ---------------------------------------------------------------------------
 
 struct ScriptStep {
@@ -65,7 +81,7 @@ struct ScriptStep {
 
 /// A randomized but fully pre-generated script over `slots` concurrently
 /// open sessions: the interleaving (and thus which commits conflict) is
-/// part of the script, so both modes see the exact same history.
+/// part of the script.
 std::vector<ScriptStep> MakeScript(unsigned seed, int steps, int slots) {
   std::mt19937 rng(seed);
   auto pick = [&](int n) {
@@ -91,7 +107,7 @@ std::vector<ScriptStep> MakeScript(unsigned seed, int steps, int slots) {
         break;
       default: {
         step.kind = ScriptStep::Kind::kExecute;
-        switch (pick(5)) {
+        switch (pick(6)) {
           case 0:
           case 1: {  // valid fk insert
             step.txn.program.statements.push_back(algebra::Statement::Insert(
@@ -124,6 +140,17 @@ std::vector<ScriptStep> MakeScript(unsigned seed, int steps, int slots) {
             step.trace = "shared key insert";
             break;
           }
+          case 4: {  // fk insert on a shared key: races its deletes
+            step.txn.program.statements.push_back(algebra::Statement::Insert(
+                "fk_rel",
+                algebra::RelExpr::Literal(
+                    {Tuple({Value::Int(next_id++),
+                            Value::String(StrCat("x", pick(kSharedKeys))),
+                            Value::Double(2.0)})},
+                    3)));
+            step.trace = "fk insert on shared key";
+            break;
+          }
           default: {  // dangling ref: integrity abort
             step.txn.program.statements.push_back(algebra::Statement::Insert(
                 "fk_rel",
@@ -144,105 +171,69 @@ std::vector<ScriptStep> MakeScript(unsigned seed, int steps, int slots) {
   return script;
 }
 
-/// One mode's full run: applies the script and records every observable
-/// outcome in order.
-struct ModeRun {
-  Database db;
-  std::unique_ptr<core::IntegritySubsystem> ics;
-  std::unique_ptr<TxnManager> manager;
-  std::vector<std::string> outcomes;
+TEST(OverlayOracleTest, SessionScriptMatchesSerialReplay) {
+  constexpr int kSlots = 3;
+  for (unsigned seed : {11u, 29u, 47u, 83u}) {
+    SCOPED_TRACE(StrCat("seed ", seed));
+    const std::vector<ScriptStep> script = MakeScript(seed, 400, kSlots);
+    Database db = MakeInitialDatabase();
+    const Database initial = db.Clone();
+    core::IntegritySubsystem ics(&db);
+    TXMOD_ASSERT_OK(testing::DefineKeyFkConstraints(&ics));
+    TXMOD_ASSERT_OK_AND_ASSIGN(auto manager, TxnManager::Create(&ics));
 
-  explicit ModeRun(bool overlay) {
-    db = MakeInitialDatabase();
-    ics = std::make_unique<core::IntegritySubsystem>(&db);
-    DefineConstraints(ics.get());
-    TxnManagerOptions options;
-    options.overlay_sessions = overlay;
-    auto created = TxnManager::Create(ics.get(), options);
-    EXPECT_TRUE(created.ok()) << created.status().ToString();
-    manager = std::move(*created);
-  }
-
-  void Apply(const std::vector<ScriptStep>& script, int slots) {
-    std::vector<std::unique_ptr<TxnSession>> sessions(
-        static_cast<std::size_t>(slots));
+    // Per slot: the open session and the transactions it executed.
+    std::vector<std::unique_ptr<TxnSession>> sessions(kSlots);
+    std::vector<std::vector<const Transaction*>> executed(kSlots);
+    std::vector<std::vector<const Transaction*>> committed;
+    uint64_t installed = 0;
+    int integrity_aborts = 0, conflicts = 0;
     for (const ScriptStep& step : script) {
-      auto& session = sessions[static_cast<std::size_t>(step.slot)];
+      const auto slot = static_cast<std::size_t>(step.slot);
+      std::unique_ptr<TxnSession>& session = sessions[slot];
+      const bool open = session != nullptr && !session->finished();
       switch (step.kind) {
         case ScriptStep::Kind::kBegin:
           // (Re-)opening a slot drops any session already in it — the
-          // destructor release path is part of what the oracle covers.
+          // destructor release path is exercised too.
           session = manager->Begin();
-          outcomes.push_back("begin");
+          executed[slot].clear();
           break;
-        case ScriptStep::Kind::kExecute: {
-          if (session == nullptr || session->finished()) {
-            outcomes.push_back("execute:no-session");
-            break;
+        case ScriptStep::Kind::kExecute:
+          // Errors (executing on an integrity-aborted session) are fine:
+          // that session can no longer commit anything.
+          if (open && session->Execute(step.txn).ok()) {
+            executed[slot].push_back(&step.txn);
           }
-          auto r = session->Execute(step.txn);
-          // Errors (e.g. executing on an integrity-aborted session) are
-          // outcomes too: both modes must produce the same ones.
-          outcomes.push_back(
-              r.ok() ? StrCat("execute:", step.trace, ":",
-                              r->committed ? "clean" : "aborted")
-                     : StrCat("execute:", step.trace, ":",
-                              r.status().ToString()));
           break;
-        }
         case ScriptStep::Kind::kCommit: {
-          if (session == nullptr || session->finished()) {
-            outcomes.push_back("commit:no-session");
-            break;
+          if (!open) break;
+          TXMOD_ASSERT_OK_AND_ASSIGN(TxnResult r, session->Commit());
+          if (r.committed) {
+            committed.push_back(executed[slot]);
+            if (r.installed) ++installed;
+          } else if (r.conflict) {
+            ++conflicts;
+          } else {
+            ++integrity_aborts;
           }
-          auto r = session->Commit();
-          outcomes.push_back(
-              r.ok() ? StrCat("commit:", r->committed ? "committed" : "lost",
-                              ":", r->conflict ? "conflict" : "-",
-                              ":installed=", r->installed ? "1" : "0",
-                              ":v=", r->commit_version)
-                     : StrCat("commit:", r.status().ToString()));
           break;
         }
         case ScriptStep::Kind::kAbort:
           if (session != nullptr) session->Abort();
-          outcomes.push_back("abort");
           break;
       }
     }
-  }
-};
-
-TEST(OverlayOracleTest, SessionScriptIsModeInvariant) {
-  constexpr int kSlots = 3;
-  for (unsigned seed : {11u, 29u, 47u, 83u}) {
-    const std::vector<ScriptStep> script = MakeScript(seed, 400, kSlots);
-    ModeRun overlay(/*overlay=*/true);
-    ModeRun clone(/*overlay=*/false);
-    overlay.Apply(script, kSlots);
-    clone.Apply(script, kSlots);
-
-    ASSERT_EQ(overlay.outcomes.size(), clone.outcomes.size());
-    for (std::size_t i = 0; i < overlay.outcomes.size(); ++i) {
-      ASSERT_EQ(overlay.outcomes[i], clone.outcomes[i])
-          << "seed " << seed << ", step " << i << " ("
-          << script[i].trace << ") diverges between overlay and clone";
-    }
-    EXPECT_EQ(overlay.manager->committed_version(),
-              clone.manager->committed_version())
-        << "seed " << seed;
-    EXPECT_TRUE(overlay.db.SameState(clone.db))
-        << "seed " << seed << ": final states diverge";
-    EXPECT_EQ(overlay.manager->stats().commits,
-              clone.manager->stats().commits);
-    EXPECT_EQ(overlay.manager->stats().conflicts,
-              clone.manager->stats().conflicts);
+    sessions.clear();
+    EXPECT_EQ(manager->committed_version(), initial.logical_time() + installed);
+    EXPECT_GT(integrity_aborts + conflicts, 0) << "script exercises no aborts";
+    ExpectSerialReplayMatches(initial, committed, db);
   }
 }
 
 // ---------------------------------------------------------------------------
-// Pin 2: threaded convergence, once per mode (TSan coverage of shared
-// overlay levels and commit compaction).
+// Pin 2: threaded workload (TSan coverage of shared overlay levels and
+// commit compaction).
 // ---------------------------------------------------------------------------
 
 int OracleThreads() {
@@ -253,78 +244,83 @@ int OracleThreads() {
   return 4;
 }
 
-/// Runs the deterministic-final-state workload in one mode. Each thread
-/// interleaves disjoint fk inserts with delete / re-insert rounds of its
-/// OWN key (real write-write and read-write contention, but a
-/// scheduling-independent net effect once Run's retries drain).
-Database RunThreadedWorkload(bool overlay, int num_threads,
-                             uint64_t* final_version) {
+TEST(OverlayOracleTest, ThreadedWorkloadMatchesSerialReplay) {
+  const int num_threads = OracleThreads();
   Database db = MakeInitialDatabase();
+  const Database initial = db.Clone();
   core::IntegritySubsystem ics(&db);
-  DefineConstraints(&ics);
+  TXMOD_ASSERT_OK(testing::DefineKeyFkConstraints(&ics));
   TxnManagerOptions options;
-  options.overlay_sessions = overlay;
   options.max_attempts = 64;  // retries must drain under full contention
-  auto created = TxnManager::Create(&ics, options);
-  EXPECT_TRUE(created.ok()) << created.status().ToString();
-  auto manager = std::move(*created);
+  TXMOD_ASSERT_OK_AND_ASSIGN(auto manager, TxnManager::Create(&ics, options));
 
+  // Each thread interleaves disjoint fk inserts with delete / re-insert
+  // rounds of its OWN key: real write-write and read-write contention.
+  constexpr int kRounds = 20;
+  std::vector<std::vector<Transaction>> workloads(num_threads);
+  for (int t = 0; t < num_threads; ++t) {
+    int next_id = 3'000'000 + t * 100'000;
+    for (int round = 0; round < kRounds; ++round) {
+      Transaction insert;
+      insert.program.statements.push_back(algebra::Statement::Insert(
+          "fk_rel", algebra::RelExpr::Literal(
+                        {Tuple({Value::Int(next_id++),
+                                Value::String(StrCat("k", round % kKeys)),
+                                Value::Double(2.0)})},
+                        3)));
+      workloads[t].push_back(std::move(insert));
+      Transaction toggle;  // delete own key (round even), re-insert (odd)
+      auto literal = algebra::RelExpr::Literal(
+          {Tuple({Value::String(StrCat("x", t)), Value::String("payload")})},
+          2);
+      toggle.program.statements.push_back(
+          round % 2 == 0
+              ? algebra::Statement::Delete("key_rel", std::move(literal))
+              : algebra::Statement::Insert("key_rel", std::move(literal)));
+      workloads[t].push_back(std::move(toggle));
+    }
+  }
+
+  struct Committed {
+    uint64_t version;
+    bool installed;
+    const Transaction* txn;
+  };
+  std::vector<std::vector<Committed>> committed_per_thread(num_threads);
   std::atomic<int> failures{0};
   std::vector<std::thread> threads;
   threads.reserve(static_cast<std::size_t>(num_threads));
   for (int t = 0; t < num_threads; ++t) {
     threads.emplace_back([&, t]() {
-      int next_id = 3'000'000 + t * 100'000;
-      for (int round = 0; round < 20; ++round) {
-        std::vector<Transaction> txns;
-        {  // disjoint valid insert
-          Transaction txn;
-          txn.program.statements.push_back(algebra::Statement::Insert(
-              "fk_rel",
-              algebra::RelExpr::Literal(
-                  {Tuple({Value::Int(next_id++),
-                          Value::String(StrCat("k", round % kKeys)),
-                          Value::Double(2.0)})},
-                  3)));
-          txns.push_back(std::move(txn));
+      for (const Transaction& txn : workloads[t]) {
+        auto result = manager->Run(txn);
+        if (!result.ok() || !result->committed) {
+          ++failures;
+          continue;
         }
-        {  // contended: delete own key (round even), re-insert (odd)
-          Transaction txn;
-          auto literal = algebra::RelExpr::Literal(
-              {Tuple({Value::String(StrCat("x", t)),
-                      Value::String("payload")})},
-              2);
-          txn.program.statements.push_back(
-              round % 2 == 0
-                  ? algebra::Statement::Delete("key_rel", std::move(literal))
-                  : algebra::Statement::Insert("key_rel",
-                                               std::move(literal)));
-          txns.push_back(std::move(txn));
-        }
-        for (Transaction& txn : txns) {
-          auto result = manager->Run(txn);
-          if (!result.ok() || !result->committed) ++failures;
-        }
+        committed_per_thread[t].push_back(
+            Committed{result->commit_version, result->installed, &txn});
       }
     });
   }
   for (std::thread& th : threads) th.join();
   EXPECT_EQ(failures.load(), 0)
       << "a transaction failed to commit despite retries";
-  *final_version = manager->committed_version();
-  return db.Clone();
-}
 
-TEST(OverlayOracleTest, ThreadedWorkloadConvergesIdenticallyPerMode) {
-  const int num_threads = OracleThreads();
-  uint64_t overlay_version = 0, clone_version = 0;
-  Database overlay_db =
-      RunThreadedWorkload(/*overlay=*/true, num_threads, &overlay_version);
-  Database clone_db =
-      RunThreadedWorkload(/*overlay=*/false, num_threads, &clone_version);
-  EXPECT_TRUE(overlay_db.SameState(clone_db))
-      << "overlay and clone modes converge to different states";
-  EXPECT_EQ(overlay_version, clone_version);
+  // Serialize: commit-version order, write-ful commits before the
+  // read-only commits that observed the same version.
+  std::vector<Committed> order;
+  for (const auto& per_thread : committed_per_thread) {
+    order.insert(order.end(), per_thread.begin(), per_thread.end());
+  }
+  std::sort(order.begin(), order.end(),
+            [](const Committed& a, const Committed& b) {
+              if (a.version != b.version) return a.version < b.version;
+              return a.installed && !b.installed;
+            });
+  std::vector<std::vector<const Transaction*>> serial;
+  for (const Committed& c : order) serial.push_back({c.txn});
+  ExpectSerialReplayMatches(initial, serial, db);
 }
 
 }  // namespace

@@ -5,6 +5,9 @@
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "bench/workload.h"
+#include "src/baseline/posthoc_checker.h"
+#include "src/core/subsystem.h"
 #include "src/relational/database.h"
 
 namespace txmod::testing {
@@ -78,6 +81,36 @@ inline const char* BeerRefIntConstraint() {
 
 inline const char* BeerDomainConstraint() {
   return "forall x (x in beer implies x.alcohol >= 0 and x.alcohol <= 100)";
+}
+
+/// Defines the Section 7 key/fk constraints (bench/workload.h) on `ics`.
+inline Status DefineKeyFkConstraints(core::IntegritySubsystem* ics) {
+  TXMOD_RETURN_IF_ERROR(
+      ics->DefineConstraint("domain", bench::DomainConstraint()));
+  return ics->DefineConstraint("refint", bench::RefIntConstraint());
+}
+
+/// The independent terminal oracle: checks `state` in full against the
+/// key/fk constraints — the post-hoc checker with triggers off runs an
+/// empty transaction over a private copy, so no differential
+/// simplification is involved — and succeeds only when all of them hold.
+inline ::testing::AssertionResult SatisfiesKeyFkConstraints(
+    const Database& state) {
+  Database copy = state.Clone();
+  core::IntegritySubsystem ics(&copy);
+  const Status defined = DefineKeyFkConstraints(&ics);
+  if (!defined.ok()) {
+    return ::testing::AssertionFailure() << defined.ToString();
+  }
+  baseline::PostHocChecker checker(&ics, {/*use_triggers=*/false});
+  Result<txn::TxnResult> checked = checker.Execute(algebra::Transaction{});
+  if (!checked.ok()) {
+    return ::testing::AssertionFailure() << checked.status().ToString();
+  }
+  if (!checked->committed) {
+    return ::testing::AssertionFailure() << checked->abort_reason;
+  }
+  return ::testing::AssertionSuccess();
 }
 
 }  // namespace txmod::testing

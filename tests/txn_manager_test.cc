@@ -362,6 +362,44 @@ TEST(TxnManagerTest, KeyFkWorkloadThroughManagerKeepsIntegrity) {
   EXPECT_TRUE(del.committed);
 }
 
+TEST(TxnManagerTest, WriteSkewOnKeyDeleteVersusFkInsertConflicts) {
+  // The snapshot-isolation write-skew shape: from one snapshot, one
+  // session deletes key k while another inserts an fk tuple referencing
+  // k. Each is valid alone and they write disjoint relations, so only
+  // the relation-granular read sets (each rule check reads the other's
+  // relation) stop both from committing into a dangling reference.
+  // Whichever commits second must lose with a conflict, in both orders.
+  for (const bool delete_first : {true, false}) {
+    SCOPED_TRACE(delete_first ? "key delete commits first"
+                              : "fk insert commits first");
+    Database db = bench::MakeKeyFkDatabase(20, 100);
+    bench::AddUnreferencedKeys(&db, 1);  // key "x0": no fk references it
+    core::IntegritySubsystem ics(&db);
+    TXMOD_ASSERT_OK(testing::DefineKeyFkConstraints(&ics));
+    TXMOD_ASSERT_OK_AND_ASSIGN(auto manager, TxnManager::Create(&ics));
+
+    auto deleter = manager->Begin();
+    auto inserter = manager->Begin();
+    TXMOD_ASSERT_OK_AND_ASSIGN(
+        TxnResult deleted,
+        deleter->ExecuteText("delete(key_rel, {(\"x0\", \"payload\")});"));
+    TXMOD_ASSERT_OK_AND_ASSIGN(
+        TxnResult inserted,
+        inserter->ExecuteText("insert(fk_rel, {(777777, \"x0\", 1.0)});"));
+    ASSERT_TRUE(deleted.committed) << deleted.abort_reason;
+    ASSERT_TRUE(inserted.committed) << inserted.abort_reason;
+
+    TxnSession* first = delete_first ? deleter.get() : inserter.get();
+    TxnSession* second = delete_first ? inserter.get() : deleter.get();
+    TXMOD_ASSERT_OK_AND_ASSIGN(TxnResult first_result, first->Commit());
+    TXMOD_ASSERT_OK_AND_ASSIGN(TxnResult second_result, second->Commit());
+    EXPECT_TRUE(first_result.committed);
+    EXPECT_FALSE(second_result.committed);
+    EXPECT_TRUE(second_result.conflict) << second_result.abort_reason;
+    EXPECT_TRUE(testing::SatisfiesKeyFkConstraints(db));
+  }
+}
+
 // ---------------------------------------------------------------------------
 // The rule-definition quiesce guard: DefineConstraint/DefineRule/DropRule
 // through the manager must refuse while sessions are live (recompiling
