@@ -16,16 +16,21 @@
 #                                     BENCH_server.json at the repo
 #                                     root from this machine's run
 #
-# The checked-in BENCH_table1.json (Table 1 workloads, plus the
-# BM_AdHocRepeatedShape shaped-plan-cache series: cached vs
-# fresh-compile-every-statement), BENCH_parallel.json (E5 scaling +
-# the join-heavy enforcement series) and BENCH_concurrency.json
-# (BM_ConcurrentCommit thread/conflict sweeps, BM_GroupCommitFsync
-# sharded group-commit batching factors) and BENCH_server.json (the
-# bench_server network load driver: commits/sec and p50/p99 request
-# latency over loopback TCP, durability-verified) are the recorded
-# baselines;
-# their "context" blocks name the machine and compiler they were
+# The checked-in baselines, all refreshed together by --update-baseline:
+#   BENCH_table1.json       Table 1 workloads, plus the
+#                           BM_AdHocRepeatedShape shaped-plan-cache
+#                           series (cached vs fresh-compile-every-
+#                           statement)
+#   BENCH_parallel.json     E5 scaling and the join-heavy enforcement
+#                           series
+#   BENCH_concurrency.json  BM_ConcurrentCommit thread/conflict sweeps
+#                           (items_per_second counts write-ful commits)
+#                           and BM_GroupCommitFsync commits/s and
+#                           fsyncs_per_commit at 1..16 threads
+#   BENCH_server.json       the bench_server network load driver:
+#                           commits/sec and p50/p99 request latency over
+#                           loopback TCP, durability-verified
+# Their "context" blocks name the machine and compiler they were
 # captured on — read thread-scaling numbers against that machine's core
 # count, not in the absolute.
 set -euo pipefail

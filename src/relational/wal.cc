@@ -1,13 +1,8 @@
 #include "src/relational/wal.h"
 
 #include <algorithm>
-#include <cctype>
-#include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
-#include <map>
-#include <set>
 #include <sstream>
 
 #include "src/common/str_util.h"
@@ -18,71 +13,8 @@ namespace txmod {
 namespace {
 
 constexpr char kWalHeader[] = "txmod-wal 1";
-// Stem of the v2 shard-stream header: "txmod-wal 2 shard <k>/<n>".
-constexpr char kWalShardHeaderStem[] = "txmod-wal 2 shard ";
-// Highest shard index probed when discovering an existing sharded log.
-// Only the FIRST readable shard header is needed (it declares n), and
-// streams are created in index order, so this is a robustness bound for
-// half-created or half-removed logs, not a shard-count limit.
-constexpr uint32_t kMaxProbeShards = ShardedWal::kMaxProbeShards;
-
-std::string ShardHeaderLine(uint32_t shard, uint32_t shard_count) {
-  return StrCat(kWalShardHeaderStem, shard, "/", shard_count);
-}
-
-/// Parses a WAL header line: v1, or v2 with a shard identity.
-bool ParseWalHeader(const std::string& line, WalShardInfo* info) {
-  if (line == kWalHeader) {
-    *info = WalShardInfo{};
-    return true;
-  }
-  const std::string stem(kWalShardHeaderStem);
-  if (line.rfind(stem, 0) != 0) return false;
-  const std::string rest = line.substr(stem.size());
-  const std::size_t slash = rest.find('/');
-  if (slash == std::string::npos || slash == 0 || slash + 1 >= rest.size()) {
-    return false;
-  }
-  for (std::size_t i = 0; i < rest.size(); ++i) {
-    if (i == slash) continue;
-    if (!std::isdigit(static_cast<unsigned char>(rest[i]))) return false;
-  }
-  // Same strtoull hygiene as the value codec: overflow saturates to
-  // ULLONG_MAX with only errno to tell — an absurd digit string must
-  // read as "not a header", not as a huge shard count. The digits-only
-  // scan above already guarantees full consumption.
-  errno = 0;
-  const uint64_t k = std::strtoull(rest.substr(0, slash).c_str(), nullptr, 10);
-  const uint64_t n = std::strtoull(rest.substr(slash + 1).c_str(), nullptr, 10);
-  if (errno == ERANGE) return false;
-  if (n < 2 || n > kMaxProbeShards || k >= n) return false;
-  info->sharded = true;
-  info->shard = static_cast<uint32_t>(k);
-  info->shard_count = static_cast<uint32_t>(n);
-  return true;
-}
-
-/// True when `line` is a strict prefix of some header the writer could
-/// have been writing when the crash hit — the torn-header heuristic.
-bool PlausibleTornHeader(const std::string& line) {
-  const std::string v1(kWalHeader);
-  if (v1.rfind(line, 0) == 0) return true;  // prefix of the v1 header
-  const std::string stem(kWalShardHeaderStem);
-  if (stem.rfind(line, 0) == 0) return true;  // prefix of the v2 stem
-  if (line.rfind(stem, 0) != 0) return false;
-  // Stem plus a partial "<k>/<n>": digits with at most one slash.
-  bool slash = false;
-  for (std::size_t i = stem.size(); i < line.size(); ++i) {
-    const char c = line[i];
-    if (c == '/') {
-      if (slash) return false;
-      slash = true;
-    } else if (!std::isdigit(static_cast<unsigned char>(c))) {
-      return false;
-    }
-  }
-  return true;
-}
+// Every WAL format this project ever wrote starts with this stem.
+constexpr char kWalHeaderStem[] = "txmod-wal ";
 
 uint64_t Fnv1a(const std::string& s) {
   uint64_t h = UINT64_C(14695981039346656037);
@@ -100,13 +32,9 @@ std::string HexU64(uint64_t v) {
   return buf;
 }
 
-/// Serializes the record body (everything the checksum covers). The
-/// "parts" suffix is written only for multi-shard fan-outs, so
-/// single-part records stay byte-identical to the v1 format.
+/// Serializes the record body (everything the checksum covers).
 std::string EncodeRecordBody(const WalRecord& rec) {
-  std::string out =
-      rec.parts > 1 ? StrCat("txn ", rec.version, " parts ", rec.parts, "\n")
-                    : StrCat("txn ", rec.version, "\n");
+  std::string out = StrCat("txn ", rec.version, "\n");
   for (const WalDelta& delta : rec.deltas) {
     out += StrCat("rel ", delta.relation, "\n");
     for (const Tuple& t : delta.plus) {
@@ -132,88 +60,64 @@ Result<Tuple> DecodeTupleLine(const std::string& rest) {
   return Tuple(std::move(values));
 }
 
+/// Torn-tail repair: when `path` ends in a torn or corrupt record,
+/// rewrites the valid prefix into a temp log and renames it into place.
+/// Appending after a tear would make every later record unreachable to
+/// recovery, which stops at the first invalid one.
+Status RepairIfTorn(const std::string& path, Vfs* vfs) {
+  WalReplayStats replay;
+  TXMOD_ASSIGN_OR_RETURN(std::vector<WalRecord> valid,
+                         ReadWal(path, &replay));
+  if (!replay.tail_dropped) return Status::OK();
+  const std::string tmp = StrCat(path, ".repair");
+  // A crash during a previous repair can leave a stale (possibly itself
+  // torn) .repair file; appending to it would corrupt the repaired log
+  // or brick startup. Start from nothing.
+  TXMOD_RETURN_IF_ERROR(vfs->Remove(tmp));
+  {
+    TXMOD_ASSIGN_OR_RETURN(std::unique_ptr<WriteAheadLog> fresh,
+                           WriteAheadLog::Open(tmp, vfs));
+    for (const WalRecord& rec : valid) {
+      TXMOD_RETURN_IF_ERROR(fresh->Append(rec).status());
+    }
+    TXMOD_RETURN_IF_ERROR(fresh->Sync(fresh->appended_lsn()));
+  }
+  TXMOD_RETURN_IF_ERROR(vfs->Rename(tmp, path));
+  return vfs->SyncParentDirectory(path);
+}
+
 }  // namespace
 
-Result<WriteAheadLog> WriteAheadLog::Open(const std::string& path, Vfs* vfs) {
-  return OpenWithHeader(path, kWalHeader, vfs);
-}
-
-Result<WriteAheadLog> WriteAheadLog::OpenShard(const std::string& path,
-                                               uint32_t shard,
-                                               uint32_t shard_count,
-                                               Vfs* vfs) {
-  if (shard_count < 2 || shard >= shard_count) {
-    return Status::InvalidArgument(
-        StrCat("bad shard identity ", shard, "/", shard_count));
-  }
-  return OpenWithHeader(path, ShardHeaderLine(shard, shard_count), vfs);
-}
-
-Result<WriteAheadLog> WriteAheadLog::OpenWithHeader(const std::string& path,
-                                                    std::string header,
-                                                    Vfs* vfs) {
+Result<std::unique_ptr<WriteAheadLog>> WriteAheadLog::Open(
+    const std::string& path, Vfs* vfs) {
   if (vfs == nullptr) vfs = Vfs::Default();
-  WriteAheadLog log(path, vfs);
-  log.header_ = std::move(header);
-  TXMOD_ASSIGN_OR_RETURN(log.file_, vfs->OpenAppend(path));
-  TXMOD_ASSIGN_OR_RETURN(const uint64_t size, log.file_->Size());
+  // Also the format check: ReadWal refuses anything but a v1 log.
+  TXMOD_RETURN_IF_ERROR(RepairIfTorn(path, vfs));
+  std::unique_ptr<WriteAheadLog> log(new WriteAheadLog(path, vfs));
+  TXMOD_ASSIGN_OR_RETURN(log->file_, vfs->OpenAppend(path));
+  TXMOD_ASSIGN_OR_RETURN(const uint64_t size, log->file_->Size());
   if (size == 0) {
     TXMOD_RETURN_IF_ERROR(WriteFullyTo(
-        log.file_.get(), StrCat(log.header_, "\n"), "WAL header"));
+        log->file_.get(), StrCat(kWalHeader, "\n"), "WAL header"));
     // Make the header durable NOW: a recovered log whose header is still
     // in the page cache reads as not-a-WAL after a crash. This also
     // makes Open a durability probe — reopening onto storage whose
     // fsyncs still fail reports the failure here instead of after the
     // next commit was already accepted.
-    TXMOD_RETURN_IF_ERROR(log.file_->Sync());
+    TXMOD_RETURN_IF_ERROR(log->file_->Sync());
     // A freshly created file only survives a crash once its directory
     // entry is durable; without this, every fsync'd commit could vanish
     // with the whole file (recovery reads a missing WAL as empty).
     TXMOD_RETURN_IF_ERROR(vfs->SyncParentDirectory(path));
-  } else {
-    // Verify this really is the WAL stream we expect before appending to
-    // it — a shard file with a different declared identity must never be
-    // silently adopted (its records would stitch under the wrong count).
-    std::ifstream in(path);
-    std::string first;
-    if (!std::getline(in, first)) {
-      return Status::InvalidArgument(StrCat(path, " is not a txmod WAL"));
-    }
-    if (first != log.header_) {
-      WalShardInfo declared;
-      if (ParseWalHeader(first, &declared)) {
-        return Status::InvalidArgument(
-            StrCat(path, " declares '", first, "' but '", log.header_,
-                   "' was expected"));
-      }
-      return Status::InvalidArgument(StrCat(path, " is not a txmod WAL"));
-    }
   }
   return log;
 }
 
-WriteAheadLog::WriteAheadLog(WriteAheadLog&& other) noexcept
-    : path_(std::move(other.path_)),
-      header_(std::move(other.header_)),
-      vfs_(other.vfs_),
-      file_(std::move(other.file_)),
-      appended_lsn_(other.appended_lsn_.load()),
-      sync_mu_(std::move(other.sync_mu_)),
-      sync_cv_(std::move(other.sync_cv_)),
-      durable_lsn_guarded_(other.durable_lsn_guarded_),
-      sync_in_progress_(other.sync_in_progress_),
-      fsync_count_(other.fsync_count_.load()),
-      sync_requests_(other.sync_requests_.load()),
-      broken_(other.broken_.load()),
-      broken_cause_guarded_(std::move(other.broken_cause_guarded_)) {}
-
-WriteAheadLog::~WriteAheadLog() = default;
-
 void WriteAheadLog::MarkBroken(const std::string& cause) {
-  std::lock_guard<std::mutex> lock(*sync_mu_);
+  std::lock_guard<std::mutex> lock(sync_mu_);
   if (!broken_.load()) broken_cause_guarded_ = cause;
   broken_.store(true);
-  sync_cv_->notify_all();
+  sync_cv_.notify_all();
 }
 
 Status WriteAheadLog::BrokenStatusLocked() const {
@@ -223,7 +127,7 @@ Status WriteAheadLog::BrokenStatusLocked() const {
 }
 
 bool WriteAheadLog::broken(std::string* cause) const {
-  std::lock_guard<std::mutex> lock(*sync_mu_);
+  std::lock_guard<std::mutex> lock(sync_mu_);
   if (cause != nullptr) *cause = broken_cause_guarded_;
   return broken_.load();
 }
@@ -234,7 +138,7 @@ Result<uint64_t> WriteAheadLog::Append(const WalRecord& rec) {
       StrCat(body, "commit ", rec.version, " ", HexU64(Fnv1a(body)), "\n");
   std::lock_guard<std::mutex> lock(append_mu_);
   if (broken_.load()) {
-    std::lock_guard<std::mutex> sync_lock(*sync_mu_);
+    std::lock_guard<std::mutex> sync_lock(sync_mu_);
     return BrokenStatusLocked();
   }
   Result<uint64_t> pre_size = file_->Size();
@@ -256,7 +160,7 @@ Result<uint64_t> WriteAheadLog::Append(const WalRecord& rec) {
 
 Status WriteAheadLog::Sync(uint64_t lsn) {
   sync_requests_.fetch_add(1);
-  std::unique_lock<std::mutex> lock(*sync_mu_);
+  std::unique_lock<std::mutex> lock(sync_mu_);
   while (durable_lsn_guarded_ < lsn) {
     if (broken_.load()) {
       // A previous fsync failed. The kernel may have dropped the dirty
@@ -268,7 +172,7 @@ Status WriteAheadLog::Sync(uint64_t lsn) {
     if (sync_in_progress_) {
       // Another committer is the fsync leader; its fsync may already
       // cover our record. Wait and re-check.
-      sync_cv_->wait(lock);
+      sync_cv_.wait(lock);
       continue;
     }
     // Become the leader. Capture the append horizon BEFORE the fsync:
@@ -284,19 +188,19 @@ Status WriteAheadLog::Sync(uint64_t lsn) {
     if (!synced.ok()) {
       if (!broken_.load()) broken_cause_guarded_ = synced.message();
       broken_.store(true);
-      sync_cv_->notify_all();
+      sync_cv_.notify_all();
       return synced;
     }
     fsync_count_.fetch_add(1);
     if (target > durable_lsn_guarded_) durable_lsn_guarded_ = target;
-    sync_cv_->notify_all();
+    sync_cv_.notify_all();
   }
   return Status::OK();
 }
 
 Status WriteAheadLog::Truncate() {
   std::lock_guard<std::mutex> append_lock(append_mu_);
-  std::unique_lock<std::mutex> sync_lock(*sync_mu_);
+  std::unique_lock<std::mutex> sync_lock(sync_mu_);
   if (broken_.load()) return BrokenStatusLocked();
   TXMOD_RETURN_IF_ERROR(file_->Truncate(0));
   // From here on the file is headerless: any failure before the header
@@ -305,11 +209,11 @@ Status WriteAheadLog::Truncate() {
   auto poison = [&](const Status& why) {
     if (!broken_.load()) broken_cause_guarded_ = why.message();
     broken_.store(true);
-    sync_cv_->notify_all();
+    sync_cv_.notify_all();
     return why;
   };
   const Status header =
-      WriteFullyTo(file_.get(), StrCat(header_, "\n"), "WAL header");
+      WriteFullyTo(file_.get(), StrCat(kWalHeader, "\n"), "WAL header");
   if (!header.ok()) return poison(header);
   const Status synced = file_->Sync();
   if (!synced.ok()) return poison(synced);
@@ -326,13 +230,21 @@ Status WriteAheadLog::Truncate() {
 }
 
 uint64_t WriteAheadLog::durable_lsn() const {
-  std::lock_guard<std::mutex> lock(*sync_mu_);
+  std::lock_guard<std::mutex> lock(sync_mu_);
   return durable_lsn_guarded_;
 }
 
 Result<std::vector<WalRecord>> ReadWal(const std::string& path,
-                                       WalReplayStats* stats,
-                                       WalShardInfo* info) {
+                                       WalReplayStats* stats) {
+  // Earlier builds could split a log into `<path>.shard<k>` streams,
+  // created from stream 0 up. Reading only `path` would silently lose
+  // their records, so such a log is refused.
+  const std::string stream0 = StrCat(path, ".shard0");
+  if (std::ifstream(stream0).is_open()) {
+    return Status::InvalidArgument(
+        StrCat(stream0, " holds a sharded log of an earlier build; this "
+               "build reads only single-stream '", kWalHeader, "' logs"));
+  }
   std::vector<WalRecord> out;
   std::ifstream in(path);
   if (!in.is_open()) return out;  // no WAL: empty log
@@ -346,17 +258,20 @@ Result<std::vector<WalRecord>> ReadWal(const std::string& path,
 
   std::string line;
   if (!std::getline(in, line)) return out;  // zero bytes: empty log
-  WalShardInfo header_info;
-  if (ParseWalHeader(line, &header_info)) {
-    if (info != nullptr) *info = header_info;
-  } else {
-    // A crash can tear even the header write. A strict prefix of a
-    // possible header with nothing after it is such a torn tail — an
-    // empty log; anything else is genuinely not a WAL.
+  if (line != kWalHeader) {
+    // A crash can tear even the header write. A strict prefix of the
+    // header with nothing after it is such a torn tail — an empty log;
+    // anything else is genuinely not a v1 WAL.
     std::string rest;
-    if (PlausibleTornHeader(line) && !std::getline(in, rest)) {
+    if (std::string(kWalHeader).rfind(line, 0) == 0 &&
+        !std::getline(in, rest)) {
       drop_tail("truncated WAL header");
       return out;
+    }
+    if (line.rfind(kWalHeaderStem, 0) == 0) {
+      return Status::InvalidArgument(
+          StrCat(path, " declares unsupported WAL format '", line,
+                 "'; this build reads only '", kWalHeader, "'"));
     }
     return Status::InvalidArgument(StrCat(path, " is not a txmod WAL"));
   }
@@ -378,17 +293,11 @@ Result<std::vector<WalRecord>> ReadWal(const std::string& path,
       current = WalRecord{};
       delta = nullptr;
       {
-        // "txn <version>" or "txn <version> parts <m>" (fan-out part).
         std::istringstream fields(line);
-        std::string kw, parts_kw;
-        fields >> kw >> current.version;
-        if (fields >> parts_kw) {
-          uint64_t m = 0;
-          if (parts_kw != "parts" || !(fields >> m) || m < 2) {
-            drop_tail(StrCat("bad txn line '", line, "'"));
-            return out;
-          }
-          current.parts = static_cast<uint32_t>(m);
+        std::string kw, extra;
+        if (!(fields >> kw >> current.version) || (fields >> extra)) {
+          drop_tail(StrCat("bad txn line '", line, "'"));
+          return out;
         }
       }
       body = StrCat(line, "\n");
@@ -433,290 +342,6 @@ Result<std::vector<WalRecord>> ReadWal(const std::string& path,
   return out;
 }
 
-// ---------------------------------------------------------------------------
-// ShardedWal.
-// ---------------------------------------------------------------------------
-
-namespace {
-
-/// Per-stream torn-tail repair: when `stream_path` ends in a torn or
-/// corrupt record, rewrites the valid prefix into a temp stream (opened
-/// by `open_fresh`, which supplies the right header) and renames it into
-/// place. Appending after a tear would make every later record on the
-/// stream unreachable to recovery, which stops at the first invalid one.
-template <typename OpenFresh>
-Status RepairStreamIfTorn(const std::string& stream_path, Vfs* vfs,
-                          OpenFresh&& open_fresh) {
-  WalReplayStats replay;
-  Result<std::vector<WalRecord>> valid = ReadWal(stream_path, &replay);
-  if (!valid.ok()) return valid.status();
-  if (!replay.tail_dropped) return Status::OK();
-  const std::string tmp = StrCat(stream_path, ".repair");
-  // A crash during a previous repair can leave a stale (possibly itself
-  // torn) .repair file; appending to it would corrupt the repaired
-  // stream or brick startup. Start from nothing.
-  TXMOD_RETURN_IF_ERROR(vfs->Remove(tmp));
-  {
-    TXMOD_ASSIGN_OR_RETURN(WriteAheadLog fresh, open_fresh(tmp));
-    for (const WalRecord& rec : *valid) {
-      TXMOD_RETURN_IF_ERROR(fresh.Append(rec).status());
-    }
-    TXMOD_RETURN_IF_ERROR(fresh.Sync(fresh.appended_lsn()));
-  }
-  TXMOD_RETURN_IF_ERROR(vfs->Rename(tmp, stream_path));
-  return vfs->SyncParentDirectory(stream_path);
-}
-
-}  // namespace
-
-std::string ShardedWal::ShardPath(const std::string& path, uint32_t shard) {
-  return StrCat(path, ".shard", shard);
-}
-
-uint32_t ShardedWal::ShardOf(const std::string& relation,
-                             uint32_t shard_count) {
-  if (shard_count < 2) return 0;
-  return static_cast<uint32_t>(Fnv1a(relation) % shard_count);
-}
-
-Result<uint32_t> ShardedWal::DiscoverShardCount(const std::string& path) {
-  // Only the first readable shard header is needed — every stream of one
-  // log declares the same n, and streams are created in index order.
-  for (uint32_t k = 0; k < kMaxProbeShards; ++k) {
-    std::ifstream in(ShardPath(path, k));
-    if (!in.is_open()) continue;
-    std::string first;
-    if (!std::getline(in, first)) continue;  // empty or torn: keep probing
-    WalShardInfo declared;
-    if (ParseWalHeader(first, &declared) && declared.sharded) {
-      return declared.shard_count;
-    }
-  }
-  return static_cast<uint32_t>(0);  // no sharded layout on disk
-}
-
-Result<std::unique_ptr<ShardedWal>> ShardedWal::Open(const std::string& path,
-                                                     uint32_t shard_count,
-                                                     Vfs* vfs) {
-  if (vfs == nullptr) vfs = Vfs::Default();
-  // Clamp to the probe bound: discovery, reopen-wipe, and header
-  // validation all probe at most kMaxProbeShards streams, so a larger
-  // layout could be written but never fully read back.
-  uint32_t n = std::min(std::max<uint32_t>(1, shard_count), kMaxProbeShards);
-  // An existing sharded layout wins over the configured count: adopting
-  // a different n would scramble the routing the on-disk records were
-  // written under. (A legacy v1 file alone does not constrain n — it
-  // stays behind as the read-only prefix stream when n >= 2.)
-  TXMOD_ASSIGN_OR_RETURN(const uint32_t on_disk, DiscoverShardCount(path));
-  if (on_disk > 0) n = on_disk;
-  std::unique_ptr<ShardedWal> log(new ShardedWal(path, n, vfs));
-  if (n == 1) {
-    TXMOD_RETURN_IF_ERROR(RepairStreamIfTorn(
-        path, vfs, [&](const std::string& p) {
-          return WriteAheadLog::Open(p, vfs);
-        }));
-    TXMOD_ASSIGN_OR_RETURN(WriteAheadLog stream,
-                           WriteAheadLog::Open(path, vfs));
-    log->shards_.push_back(std::move(stream));
-    return log;
-  }
-  log->shards_.reserve(n);
-  for (uint32_t k = 0; k < n; ++k) {
-    const std::string sp = ShardPath(path, k);
-    TXMOD_RETURN_IF_ERROR(RepairStreamIfTorn(
-        sp, vfs, [&](const std::string& p) {
-          return WriteAheadLog::OpenShard(p, k, n, vfs);
-        }));
-    TXMOD_ASSIGN_OR_RETURN(WriteAheadLog stream,
-                           WriteAheadLog::OpenShard(sp, k, n, vfs));
-    log->shards_.push_back(std::move(stream));
-  }
-  return log;
-}
-
-Result<std::vector<ShardedWal::Position>> ShardedWal::AppendCommit(
-    const WalRecord& rec) {
-  std::vector<Position> out;
-  if (shard_count_ == 1) {
-    TXMOD_ASSIGN_OR_RETURN(const uint64_t lsn, shards_[0].Append(rec));
-    out.push_back(Position{0, lsn});
-    return out;
-  }
-  // Route deltas to their shards; every part carries the shared version
-  // and the declared fan-out width m, the stitching key of recovery.
-  std::map<uint32_t, WalRecord> parts;
-  for (const WalDelta& delta : rec.deltas) {
-    parts[ShardOf(delta.relation, shard_count_)].deltas.push_back(delta);
-  }
-  const uint32_t m = static_cast<uint32_t>(parts.size());
-  out.reserve(m);
-  for (auto& [shard, part] : parts) {
-    part.version = rec.version;
-    part.parts = m;
-    TXMOD_ASSIGN_OR_RETURN(const uint64_t lsn, shards_[shard].Append(part));
-    out.push_back(Position{shard, lsn});
-  }
-  return out;
-}
-
-Status ShardedWal::SyncPositions(const std::vector<Position>& positions) {
-  for (const Position& pos : positions) {
-    TXMOD_RETURN_IF_ERROR(shards_[pos.shard].Sync(pos.lsn));
-  }
-  return Status::OK();
-}
-
-Status ShardedWal::Truncate() {
-  for (WriteAheadLog& stream : shards_) {
-    TXMOD_RETURN_IF_ERROR(stream.Truncate());
-  }
-  if (sharded()) {
-    // A legacy pre-shard file may still linger as the prefix stream; the
-    // checkpoint covers its records now, so drop it. (Remove is
-    // idempotent — OK when it was never there.)
-    TXMOD_RETURN_IF_ERROR(vfs_->Remove(path_));
-    TXMOD_RETURN_IF_ERROR(vfs_->SyncParentDirectory(path_));
-  }
-  return Status::OK();
-}
-
-bool ShardedWal::broken(std::string* cause) const {
-  for (const WriteAheadLog& stream : shards_) {
-    if (stream.broken(cause)) return true;
-  }
-  if (cause != nullptr) cause->clear();
-  return false;
-}
-
-uint64_t ShardedWal::fsync_count() const {
-  uint64_t total = 0;
-  for (const WriteAheadLog& s : shards_) total += s.fsync_count();
-  return total;
-}
-
-uint64_t ShardedWal::sync_requests() const {
-  uint64_t total = 0;
-  for (const WriteAheadLog& s : shards_) total += s.sync_requests();
-  return total;
-}
-
-uint64_t ShardedWal::appended_parts() const {
-  uint64_t total = 0;
-  for (const WriteAheadLog& s : shards_) total += s.appended_lsn();
-  return total;
-}
-
-Result<std::vector<WalRecord>> ReadShardedWal(const std::string& path,
-                                              WalReplayStats* stats,
-                                              uint64_t checkpoint_time) {
-  auto drop_tail = [&](const std::string& why) {
-    if (stats != nullptr) {
-      stats->tail_dropped = true;
-      if (stats->tail_error.empty()) stats->tail_error = why;
-    }
-  };
-
-  // The legacy stream (a v1 file at `path` itself): the low prefix of a
-  // log that adopted sharding mid-life, or the whole log when unsharded.
-  WalReplayStats legacy_stats;
-  TXMOD_ASSIGN_OR_RETURN(std::vector<WalRecord> out,
-                         ReadWal(path, &legacy_stats));
-  if (legacy_stats.tail_dropped) {
-    drop_tail(StrCat("legacy stream: ", legacy_stats.tail_error));
-  }
-
-  // Shard streams: collect per-version parts.
-  std::map<uint64_t, std::vector<WalRecord>> by_version;
-  for (uint32_t k = 0; k < kMaxProbeShards; ++k) {
-    const std::string sp = ShardedWal::ShardPath(path, k);
-    {
-      std::ifstream probe(sp);
-      if (!probe.is_open()) continue;
-    }
-    WalReplayStats shard_stats;
-    TXMOD_ASSIGN_OR_RETURN(std::vector<WalRecord> records,
-                           ReadWal(sp, &shard_stats));
-    if (shard_stats.tail_dropped) {
-      drop_tail(StrCat("shard ", k, ": ", shard_stats.tail_error));
-    }
-    for (WalRecord& rec : records) {
-      by_version[rec.version].push_back(std::move(rec));
-    }
-  }
-
-  // All-or-nothing reassembly cut: the first version whose fan-out is
-  // incomplete; everything at or above it is dropped after sorting.
-  uint64_t cut = UINT64_MAX;
-  if (!by_version.empty()) {
-    std::set<uint64_t> legacy_versions;
-    for (const WalRecord& rec : out) legacy_versions.insert(rec.version);
-
-    // Reassemble each version from its fan-out parts. All-or-nothing: a
-    // version whose declared part count is not fully present (a crash
-    // between shard appends) cuts the sequence — it and everything above
-    // it are dropped, because commit acknowledgement is contiguous (no
-    // commit is acked while an earlier version is not durable).
-    for (auto& [version, parts] : by_version) {
-      if (version >= cut) break;
-      if (legacy_versions.count(version) > 0) continue;  // standalone wins
-      const uint32_t declared = parts.front().parts;
-      bool consistent = parts.size() == declared;
-      for (const WalRecord& part : parts) {
-        consistent = consistent && part.parts == declared;
-      }
-      // An incomplete fan-out at or below the checkpoint is not a cut:
-      // a partially-failed multi-stream truncate can wipe some parts of
-      // a checkpoint-covered version; replay skips it regardless.
-      if (!consistent && version > checkpoint_time) {
-        cut = version;
-        drop_tail(StrCat("incomplete fan-out for version ", version, " (",
-                         parts.size(), " of ", declared, " parts)"));
-        break;
-      }
-      WalRecord whole;
-      whole.version = version;
-      for (WalRecord& part : parts) {
-        for (WalDelta& delta : part.deltas) {
-          whole.deltas.push_back(std::move(delta));
-        }
-      }
-      out.push_back(std::move(whole));
-    }
-  }
-
-  // Commit order is decided under the manager's commit lock, but records
-  // are appended outside it (the pipelined commit path), so even a
-  // single stream may hold versions out of file order. Version order is
-  // the replay order.
-  std::stable_sort(out.begin(), out.end(),
-                   [](const WalRecord& a, const WalRecord& b) {
-                     return a.version < b.version;
-                   });
-  while (!out.empty() && out.back().version >= cut) {
-    out.pop_back();
-  }
-  // Contiguity above the checkpoint: a version gap means some commit's
-  // record (or whole fan-out) vanished; nothing above the gap was
-  // ackable — commit acknowledgement waits for every earlier version to
-  // be durable — so drop it. Records at or below `checkpoint_time` are
-  // exempt: the checkpoint covers them, replay skips them, and a
-  // partially-failed multi-stream truncate legitimately leaves them
-  // behind with gaps among themselves and below the live tail.
-  uint64_t prev = checkpoint_time;
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    if (out[i].version <= checkpoint_time) continue;
-    if (out[i].version != prev + 1) {
-      drop_tail(StrCat("version gap after ", prev));
-      out.resize(i);
-      break;
-    }
-    prev = out[i].version;
-  }
-
-  if (stats != nullptr) stats->records_read += out.size();
-  return out;
-}
-
 Status ApplyWalRecord(const WalRecord& rec, Database* db,
                       WalReplayStats* stats) {
   if (rec.version <= db->logical_time()) {
@@ -751,8 +376,37 @@ Result<Database> RecoverDatabase(const std::string& checkpoint_path,
                                  WalReplayStats* stats) {
   TXMOD_ASSIGN_OR_RETURN(Database db,
                          LoadDatabaseFromFile(checkpoint_path));
+  WalReplayStats read;
   TXMOD_ASSIGN_OR_RETURN(std::vector<WalRecord> records,
-                         ReadShardedWal(wal_path, stats, db.logical_time()));
+                         ReadWal(wal_path, &read));
+  // Commit order is decided under the manager's commit lock, but records
+  // are appended outside it, so the file may hold versions out of order.
+  // Version order is the replay order.
+  std::stable_sort(records.begin(), records.end(),
+                   [](const WalRecord& a, const WalRecord& b) {
+                     return a.version < b.version;
+                   });
+  // Contiguity above the checkpoint: a version gap means a commit's
+  // record never made it to the log; nothing above the gap was ackable —
+  // commit acknowledgement waits for every earlier version to be durable
+  // — so drop it. Records at or below the checkpoint's time are exempt:
+  // the checkpoint covers them and replay skips them.
+  const uint64_t checkpoint_time = db.logical_time();
+  uint64_t prev = checkpoint_time;
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    if (records[i].version <= checkpoint_time) continue;
+    if (records[i].version != prev + 1) {
+      if (!read.tail_dropped) {
+        read.tail_dropped = true;
+        read.tail_error = StrCat("version gap after ", prev);
+      }
+      records.resize(i);
+      break;
+    }
+    prev = records[i].version;
+  }
+  read.records_read = records.size();
+  if (stats != nullptr) *stats = read;
   for (const WalRecord& rec : records) {
     TXMOD_RETURN_IF_ERROR(ApplyWalRecord(rec, &db, stats));
   }

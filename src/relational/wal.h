@@ -23,20 +23,13 @@ struct WalDelta {
 };
 
 /// One write-ahead log record: the differential of a single committed
-/// transaction, stamped with the logical time it installed. Records are
-/// appended in commit (version) order; replaying them over a checkpoint
-/// of time t applies exactly the committed suffix t+1, t+2, ....
-///
-/// Sharded logs fan one commit out into up to `parts` records — one per
-/// shard its deltas route to — every part carrying the same version and
-/// the same declared part count (the shared commit-LSN header). Recovery
-/// reassembles a version only when all of its declared parts are
-/// present; a partial fan-out (crash between shard appends) is dropped
-/// together with everything after it. parts == 1 encodes exactly as the
-/// pre-shard v1 format.
+/// transaction, stamped with the logical time it installed. Replaying
+/// the records in version order over a checkpoint of time t applies
+/// exactly the committed suffix t+1, t+2, .... One transaction is one
+/// record, so its atomicity (Definition 2.6's bracket) is the record's
+/// checksum.
 struct WalRecord {
   uint64_t version = 0;
-  uint32_t parts = 1;
   std::vector<WalDelta> deltas;
 };
 
@@ -50,60 +43,47 @@ struct WalRecord {
 ///
 /// On-disk format (line-oriented, values via persist.h's codec):
 ///
-///   txmod-wal 1                      (or: txmod-wal 2 shard <k>/<n>)
-///   txn <version>                    (or: txn <version> parts <m>)
+///   txmod-wal 1
+///   txn <version>
 ///   rel <name>
 ///   + <v1> <v2> ...                  (one line per inserted tuple)
 ///   - <v1> <v2> ...                  (one line per deleted tuple)
 ///   commit <version> <fnv1a-64 hex of the record body>
 ///
-/// Format versions: "txmod-wal 1" is the single-stream format; a
-/// "txmod-wal 2 shard <k>/<n>" header marks one stream of an n-way
-/// sharded log (see ShardedWal below). Record bodies are identical in
-/// both; the only v2 record addition is the optional "parts <m>" suffix
-/// on the txn line, written when a commit fans out across m > 1 shards.
-/// A v1 reader would reject such a line's checksum context, so the
-/// format version is bumped; v2 readers accept v1 files unchanged.
+/// "txmod-wal 1" is the only format. Any other header — including the
+/// per-shard stream headers of earlier builds — is refused with
+/// InvalidArgument, never migrated.
 ///
 /// A record is valid only when its `commit` line is present, names the
 /// same version, and its checksum matches the body ("txn" line through
-/// the last delta line, inclusive). Recovery (ReadWal) applies records
-/// in order and stops at the first invalid one — a torn append, a
-/// truncated tail, or bit rot — restoring exactly the durable committed
-/// prefix.
+/// the last delta line, inclusive). ReadWal returns records in file
+/// order and stops at the first invalid one — a torn append, a
+/// truncated tail, or bit rot — so recovery restores exactly the
+/// durable committed prefix.
 ///
 /// Durability and group commit: Append buffers nothing — the record hits
 /// the OS with one write() — but it is only *durable* after Sync(lsn)
 /// returns. Sync batches concurrent committers: one caller becomes the
 /// fsync leader while the others wait; a single fsync covers every
 /// record appended before it, so N concurrent commits cost far fewer
-/// than N fsyncs (fsync_count() / appended_lsn() measures the batching).
+/// than N fsyncs (fsync_count() / sync_requests() measures the batching).
 ///
 /// Thread safety: Append and Sync are safe to call concurrently from any
-/// number of threads. Callers that need records in version order (the
-/// transaction manager) serialize Append themselves, under the same lock
-/// that orders commits.
+/// number of threads. Concurrent appenders may land records out of
+/// version order (the transaction manager appends outside its commit
+/// lock); recovery sorts by version.
 class WriteAheadLog {
  public:
-  /// Opens `path` for appending, creating it (with the v1 header line)
-  /// when absent or empty. Refuses files that do not start with the
-  /// header. All writes/fsyncs go through `vfs` (nullptr = the real
-  /// POSIX environment); reads stay on the plain filesystem.
-  static Result<WriteAheadLog> Open(const std::string& path,
-                                    Vfs* vfs = nullptr);
-
-  /// Opens one stream of an `shard_count`-way sharded log (v2 shard
-  /// header "txmod-wal 2 shard <shard>/<shard_count>"). Refuses files
-  /// whose header declares a different shard identity — the caller
-  /// (ShardedWal::Open) adopts the on-disk count before calling this.
-  static Result<WriteAheadLog> OpenShard(const std::string& path,
-                                         uint32_t shard,
-                                         uint32_t shard_count,
-                                         Vfs* vfs = nullptr);
-
-  WriteAheadLog(WriteAheadLog&& other) noexcept;
-  WriteAheadLog& operator=(WriteAheadLog&&) = delete;
-  ~WriteAheadLog();
+  /// Opens `path` for appending, creating it (with the header line, made
+  /// durable together with its directory entry) when absent or empty.
+  /// A torn or corrupt tail is repaired first: the valid prefix is
+  /// rewritten into `<path>.repair` and renamed into place, because a
+  /// record appended after a tear would be unreachable to recovery.
+  /// Refuses files that are not a v1 log. All writes/fsyncs go through
+  /// `vfs` (nullptr = the real POSIX environment); reads stay on the
+  /// plain filesystem.
+  static Result<std::unique_ptr<WriteAheadLog>> Open(const std::string& path,
+                                                     Vfs* vfs = nullptr);
 
   /// Appends one record (a single write() of the serialized form) and
   /// returns its log sequence number.
@@ -134,11 +114,6 @@ class WriteAheadLog {
   WriteAheadLog(std::string path, Vfs* vfs)
       : path_(std::move(path)), vfs_(vfs) {}
 
-  /// Shared Open machinery: `header` is the exact first line the file
-  /// must carry (written when creating, verified when reopening).
-  static Result<WriteAheadLog> OpenWithHeader(const std::string& path,
-                                              std::string header, Vfs* vfs);
-
   /// Poisons the log, recording the first cause. Must NOT hold sync_mu_.
   void MarkBroken(const std::string& cause);
   /// The canonical poisoned-log error: Unavailable, naming the original
@@ -146,19 +121,15 @@ class WriteAheadLog {
   Status BrokenStatusLocked() const;
 
   std::string path_;
-  std::string header_;
   Vfs* vfs_ = nullptr;
   std::unique_ptr<VfsFile> file_;
 
   std::mutex append_mu_;  // serializes write() calls
   std::atomic<uint64_t> appended_lsn_{0};
 
-  // Group-commit state. `sync_mu_` is behind a unique_ptr only to keep
-  // the type movable for the Open factory; after construction the object
-  // stays put.
-  std::unique_ptr<std::mutex> sync_mu_ = std::make_unique<std::mutex>();
-  std::unique_ptr<std::condition_variable> sync_cv_ =
-      std::make_unique<std::condition_variable>();
+  // Group-commit state.
+  mutable std::mutex sync_mu_;
+  std::condition_variable sync_cv_;
   uint64_t durable_lsn_guarded_ = 0;
   bool sync_in_progress_ = false;
   std::atomic<uint64_t> fsync_count_{0};
@@ -172,113 +143,6 @@ class WriteAheadLog {
   std::string broken_cause_guarded_;
 };
 
-/// A write-ahead log sharded into N independent append streams.
-///
-/// Stasis's logger decouples log append, flush, and truncation points so
-/// committers stop convoying on one stream; this is that shape over the
-/// differential WAL. Deltas are routed by relation-name hash
-/// (ShardOf), so one commit touches only the shards its relations map
-/// to: AppendCommit splits the record into per-shard parts (each
-/// carrying the shared version and the declared part count — the
-/// commit-LSN header) and Sync batches per shard with independent
-/// group-commit fsync leaders. Disjoint-shard commits never share an
-/// append mutex or an fsync.
-///
-/// On-disk layout: shard k of n lives at `<path>.shard<k>` with header
-/// "txmod-wal 2 shard <k>/<n>". shard_count == 1 is special-cased to a
-/// single v1-format file at `path` itself — byte-for-byte the pre-shard
-/// format, so existing logs reopen unchanged.
-///
-/// Reopen compatibility: Open adopts the shard count it finds on disk
-/// (the configured count applies only to logs that do not exist yet) —
-/// a mismatch between configuration and disk is resolved in favor of
-/// the disk, never by scrambling the routing of existing records. A
-/// pre-shard v1 log at `path` reopened under a sharded configuration is
-/// kept as a read-only prefix stream: recovery stitches it in below the
-/// shard records, and the next checkpoint (Truncate) removes it.
-///
-/// Torn tails: Open repairs each stream independently (rewriting the
-/// valid prefix via temp + rename), so a tear on one shard never blocks
-/// appends to it or hides later records on other shards.
-///
-/// Poisoning is log-wide: a failed fsync on ANY shard leaves the commit
-/// horizon unknowable for the whole log, so broken() reports the first
-/// per-shard failure and the transaction manager degrades as a unit.
-class ShardedWal {
- public:
-  /// Opens (creating) the log rooted at `path` with `shard_count`
-  /// streams; an existing log's on-disk count wins over the argument.
-  static Result<std::unique_ptr<ShardedWal>> Open(const std::string& path,
-                                                  uint32_t shard_count,
-                                                  Vfs* vfs = nullptr);
-
-  /// One appended part's position: which shard, and the LSN to Sync to.
-  struct Position {
-    uint32_t shard = 0;
-    uint64_t lsn = 0;
-  };
-
-  /// Splits `rec` into per-shard parts by relation-name hash and appends
-  /// each (setting the parts count on every one). Returns the positions
-  /// for SyncPositions. A failure may leave a partial fan-out behind —
-  /// recovery treats the version as absent (all-or-nothing stitching) —
-  /// and the caller must not report the commit durable.
-  Result<std::vector<Position>> AppendCommit(const WalRecord& rec);
-
-  /// Group-commit durability for one commit's fan-out: waits until every
-  /// appended part is fsync'd, shard by shard (each shard batches with
-  /// its own concurrent committers).
-  Status SyncPositions(const std::vector<Position>& positions);
-
-  /// Empties every stream (checkpoint + truncate) and removes a legacy
-  /// pre-shard file when one is still lingering as the prefix stream.
-  Status Truncate();
-
-  /// True when any shard is poisoned; `cause` receives the first
-  /// per-shard failure message.
-  bool broken(std::string* cause = nullptr) const;
-
-  uint32_t shard_count() const { return shard_count_; }
-  bool sharded() const { return shard_count_ > 1; }
-  const std::string& path() const { return path_; }
-
-  /// Aggregated across shards.
-  uint64_t fsync_count() const;
-  uint64_t sync_requests() const;
-  uint64_t appended_parts() const;
-
-  /// Direct stream access (tests/diagnostics). k < shard_count().
-  const WriteAheadLog* shard(uint32_t k) const { return &shards_[k]; }
-
-  /// Upper bound on the shard count probed for on disk (discovery scans
-  /// `<path>.shard0` .. `<path>.shard63`); also the maximum accepted
-  /// configuration.
-  static constexpr uint32_t kMaxProbeShards = 64;
-
-  /// `<path>.shard<k>` — where stream k of a sharded log lives.
-  static std::string ShardPath(const std::string& path, uint32_t shard);
-  /// The routing function: FNV-1a(relation) % shard_count. Stable across
-  /// runs and processes by construction (no seed, no pointer hashing) —
-  /// recovery does not depend on it, but stable routing keeps every
-  /// relation's records on one stream, which is what makes a single
-  /// shard's prefix self-consistent per relation.
-  static uint32_t ShardOf(const std::string& relation, uint32_t shard_count);
-  /// The shard count an existing log at `path` declares: n from the
-  /// first readable shard header, 0 when no sharded layout exists on
-  /// disk (no log at all, or only a legacy v1 file — which does not
-  /// constrain the count; see the reopen-compatibility note above).
-  static Result<uint32_t> DiscoverShardCount(const std::string& path);
-
- private:
-  ShardedWal(std::string path, uint32_t shard_count, Vfs* vfs)
-      : path_(std::move(path)), shard_count_(shard_count), vfs_(vfs) {}
-
-  std::string path_;
-  uint32_t shard_count_ = 1;
-  Vfs* vfs_ = nullptr;
-  std::vector<WriteAheadLog> shards_;  // size 1 (at path_) when unsharded
-};
-
 /// Outcome details of a WAL read/recovery.
 struct WalReplayStats {
   uint64_t records_read = 0;     // valid records returned/applied
@@ -287,39 +151,13 @@ struct WalReplayStats {
   std::string tail_error;        // what was wrong with it
 };
 
-/// The shard identity a WAL file's header declares.
-struct WalShardInfo {
-  bool sharded = false;     // v2 shard header present
-  uint32_t shard = 0;       // k of "shard k/n"
-  uint32_t shard_count = 1;  // n (1 for a legacy v1 file)
-};
-
-/// Reads every valid record of `path`, in order, stopping cleanly at the
-/// first truncated or corrupt record (`stats->tail_dropped`). A missing
-/// file reads as an empty log. Accepts v1 and v2-shard headers; `info`
-/// (when non-null) receives the header's shard identity.
+/// Reads every valid record of `path` in file order, stopping cleanly at
+/// the first truncated or corrupt record (`stats->tail_dropped`). A
+/// missing file reads as an empty log; a file with any header but
+/// "txmod-wal 1", or a log whose records sit in the `<path>.shard<k>`
+/// streams of an earlier build, is InvalidArgument.
 Result<std::vector<WalRecord>> ReadWal(const std::string& path,
-                                       WalReplayStats* stats = nullptr,
-                                       WalShardInfo* info = nullptr);
-
-/// Reads a possibly-sharded log rooted at `path` and stitches the
-/// streams back into one commit-version-ordered sequence: a legacy v1
-/// file at `path` contributes the low prefix, shard streams contribute
-/// parts that are reassembled per version, and the sequence is cut at
-/// the first version that is missing or incomplete (partial fan-out) —
-/// everything at or above the cut is dropped (`stats->tail_dropped`),
-/// preserving the exact-durable-prefix property shard by shard.
-///
-/// `checkpoint_time` anchors the contiguity cut: records at or below it
-/// are already covered by the checkpoint (a crash or truncate fault
-/// between checkpoint rename and WAL truncation can leave them behind on
-/// a subset of streams, with gaps where other streams did truncate), so
-/// they are returned for skip accounting but exempt from the gap check;
-/// the replayable sequence above it must start at `checkpoint_time + 1`
-/// and be contiguous.
-Result<std::vector<WalRecord>> ReadShardedWal(const std::string& path,
-                                              WalReplayStats* stats = nullptr,
-                                              uint64_t checkpoint_time = 0);
+                                       WalReplayStats* stats = nullptr);
 
 /// Applies one record to `db`. Records at or below the database's
 /// logical time are skipped (already covered by the checkpoint); a
@@ -329,10 +167,15 @@ Status ApplyWalRecord(const WalRecord& rec, Database* db,
                       WalReplayStats* stats = nullptr);
 
 /// Crash recovery: loads the checkpoint at `checkpoint_path` and replays
-/// every valid WAL record on top — stitching sharded logs back into
-/// commit-version order via ReadShardedWal — restoring exactly the
-/// durable committed prefix. A missing WAL file means the checkpoint
-/// alone is the state.
+/// the valid WAL records on top in version order, restoring exactly the
+/// durable committed prefix. Appends run outside the commit lock, so the
+/// file may hold versions out of order and, after a failed append, with
+/// a gap: above the checkpoint's time the replayed versions must run
+/// contiguously from it, and everything past the first gap is dropped
+/// (`stats->tail_dropped`) — no commit above a hole was ever
+/// acknowledged. Records at or below the checkpoint's time are skipped
+/// and never cut. A missing WAL file means the checkpoint alone is the
+/// state.
 Result<Database> RecoverDatabase(const std::string& checkpoint_path,
                                  const std::string& wal_path,
                                  WalReplayStats* stats = nullptr);

@@ -14,23 +14,48 @@ using algebra::StatementKind;
 
 namespace {
 
-/// Evaluates a statement's expression through the context's plan cache:
+/// Evaluates a statement's expression against `eval_ctx` through `cache`:
 /// the pinned side by pointer identity (integrity checks, pre-compiled at
 /// rule definition time), then the shaped side by structural fingerprint
 /// (ad-hoc statements — repeated shapes reuse one compiled plan under
 /// this statement's constant binding). Without a cache, compiles one-shot.
+Result<Relation> EvalExpr(const Statement& stmt, algebra::PlanCache* cache,
+                          const algebra::EvalContext& eval_ctx,
+                          algebra::EvalStats* stats) {
+  if (cache != nullptr) {
+    if (const algebra::PhysicalPlan* plan = cache->Lookup(stmt.expr.get())) {
+      return plan->Execute(eval_ctx, stats);
+    }
+    TXMOD_ASSIGN_OR_RETURN(algebra::BoundPlan bound,
+                           cache->GetOrCompileShaped(*stmt.expr, stats));
+    return bound.plan->Execute(eval_ctx, stats, &bound.params);
+  }
+  return EvaluateRelExpr(*stmt.expr, eval_ctx, stats);
+}
+
 Result<Relation> EvalStatementExpr(const Statement& stmt, TxnContext* ctx,
                                    TxnResult* result) {
-  if (algebra::PlanCache* cache = ctx->plan_cache()) {
-    if (const algebra::PhysicalPlan* plan = cache->Lookup(stmt.expr.get())) {
-      return plan->Execute(*ctx, &result->stats);
-    }
-    TXMOD_ASSIGN_OR_RETURN(
-        algebra::BoundPlan bound,
-        cache->GetOrCompileShaped(*stmt.expr, &result->stats));
-    return bound.plan->Execute(*ctx, &result->stats, &bound.params);
-  }
-  return EvaluateRelExpr(*stmt.expr, *ctx, &result->stats);
+  return EvalExpr(stmt, ctx->plan_cache(), *ctx, &result->stats);
+}
+
+/// Evaluates an alarm statement: no effect when its expression is empty
+/// (Definition 5.1), otherwise an abort carrying the statement's message
+/// or a description of the violation. Serial execution and the parallel
+/// check tasks both run it, so their verdicts and stats are identical.
+/// PlanCache is safe to share across check tasks: the pinned side is
+/// read-only after rule definition and the shaped side serializes
+/// internally.
+Status EvalAlarm(const Statement& stmt, algebra::PlanCache* cache,
+                 const algebra::EvalContext& eval_ctx,
+                 algebra::EvalStats* stats) {
+  TXMOD_ASSIGN_OR_RETURN(Relation value,
+                         EvalExpr(stmt, cache, eval_ctx, stats));
+  if (value.empty()) return Status::OK();
+  return Status::Aborted(
+      stmt.message.empty()
+          ? StrCat("alarm raised: ", stmt.expr->ToString(), " is non-empty (",
+                   value.size(), " tuple(s))")
+          : stmt.message);
 }
 
 Status ExecuteAssign(const Statement& stmt, TxnContext* ctx,
@@ -99,19 +124,6 @@ Status ExecuteUpdate(const Statement& stmt, TxnContext* ctx,
   return Status::OK();
 }
 
-Status ExecuteAlarm(const Statement& stmt, TxnContext* ctx,
-                    TxnResult* result) {
-  TXMOD_ASSIGN_OR_RETURN(Relation value,
-                         EvalStatementExpr(stmt, ctx, result));
-  if (value.empty()) return Status::OK();  // Definition 5.1: no effect
-  std::string reason = stmt.message.empty()
-                           ? StrCat("alarm raised: ", stmt.expr->ToString(),
-                                    " is non-empty (", value.size(),
-                                    " tuple(s))")
-                           : stmt.message;
-  return Status::Aborted(std::move(reason));
-}
-
 // ---------------------------------------------------------------------------
 // Parallel integrity-check runs.
 //
@@ -162,34 +174,6 @@ struct CheckOutcome {
   std::set<std::string> reads;
 };
 
-/// Evaluates one alarm statement against `eval_ctx` (same plan-cache
-/// discipline as EvalStatementExpr; same abort message as ExecuteAlarm).
-/// PlanCache is safe here: the pinned side is read-only after rule
-/// definition and the shaped side serializes internally.
-Status EvalAlarmTask(const Statement& stmt, algebra::PlanCache* cache,
-                     const algebra::EvalContext& eval_ctx,
-                     algebra::EvalStats* stats) {
-  Result<Relation> value = [&]() -> Result<Relation> {
-    if (cache != nullptr) {
-      if (const algebra::PhysicalPlan* plan = cache->Lookup(stmt.expr.get())) {
-        return plan->Execute(eval_ctx, stats);
-      }
-      TXMOD_ASSIGN_OR_RETURN(algebra::BoundPlan bound,
-                             cache->GetOrCompileShaped(*stmt.expr, stats));
-      return bound.plan->Execute(eval_ctx, stats, &bound.params);
-    }
-    return EvaluateRelExpr(*stmt.expr, eval_ctx, stats);
-  }();
-  if (!value.ok()) return value.status();
-  if (value->empty()) return Status::OK();  // Definition 5.1: no effect
-  std::string reason = stmt.message.empty()
-                           ? StrCat("alarm raised: ", stmt.expr->ToString(),
-                                    " is non-empty (", value->size(),
-                                    " tuple(s))")
-                           : stmt.message;
-  return Status::Aborted(std::move(reason));
-}
-
 /// Runs alarm statements [begin, end) of `stmts` concurrently on the
 /// context's check pool, one task per alarm on its own work queue (idle
 /// workers steal across queues). Outcomes are written into disjoint
@@ -206,7 +190,7 @@ void RunChecksParallel(const std::vector<Statement>& stmts,
     const TxnContext* parent = ctx;
     plan.queues[k].push_back([stmt, out, cache, parent] {
       CheckTaskContext eval_ctx(parent, &out->reads);
-      out->status = EvalAlarmTask(*stmt, cache, eval_ctx, &out->stats);
+      out->status = EvalAlarm(*stmt, cache, eval_ctx, &out->stats);
     });
   }
   ctx->check_pool()->Run(std::move(plan));
@@ -226,7 +210,7 @@ Status ExecuteStatement(const Statement& stmt, TxnContext* ctx,
     case StatementKind::kUpdate:
       return ExecuteUpdate(stmt, ctx, result);
     case StatementKind::kAlarm:
-      return ExecuteAlarm(stmt, ctx, result);
+      return EvalAlarm(stmt, ctx->plan_cache(), *ctx, &result->stats);
     case StatementKind::kAbort:
       return Status::Aborted(stmt.message.empty() ? "abort statement"
                                                   : stmt.message);

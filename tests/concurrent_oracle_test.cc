@@ -287,10 +287,10 @@ INSTANTIATE_TEST_SUITE_P(ThreadCounts, ConcurrentOracleTest,
 // ---------------------------------------------------------------------------
 // High-contention, multi-relation oracle: 16 threads over 8 relations
 // with a mix of thread-disjoint and deliberately overlapping footprints,
-// committing through a 4-way sharded WAL (multi-relation transactions
-// fan out across shards). The final state must still equal the serial
-// replay of the committed transactions in commit-version order, and
-// stitched recovery must reproduce it exactly.
+// committing through one WAL stream (each multi-relation transaction is
+// one record). The final state must still equal the serial replay of
+// the committed transactions in commit-version order, and recovery must
+// reproduce it exactly.
 // ---------------------------------------------------------------------------
 
 constexpr int kOracleRelations = 8;
@@ -316,8 +316,7 @@ Database MakeMultiRelationDatabase() {
 /// One statement per touched relation. Footprints mix three shapes:
 /// thread-private inserts (never conflict), shared-id deletes and
 /// re-inserts (tuple-granularity write-write conflicts), and
-/// multi-relation transactions whose statements span 2-3 relations —
-/// the sharded WAL's fan-out case.
+/// multi-relation transactions whose statements span 2-3 relations.
 std::vector<WorkItem> MakeMultiRelationWorkload(int thread_id,
                                                 unsigned seed) {
   std::mt19937 rng(seed);
@@ -357,7 +356,7 @@ std::vector<WorkItem> MakeMultiRelationWorkload(int thread_id,
         }
         break;
       }
-      case 2: {  // multi-relation fan-out, disjoint ids (2-3 relations)
+      case 2: {  // multi-relation, disjoint ids (2-3 relations)
         const int span = 2 + pick(2);
         for (int s = 0; s < span; ++s) {
           txn.program.statements.push_back(insert_stmt(
@@ -374,7 +373,7 @@ std::vector<WorkItem> MakeMultiRelationWorkload(int thread_id,
             Tuple({Value::Int(next_id++), Value::String("mixed")})));
         txn.program.statements.push_back(delete_stmt(
             r, Tuple({Value::Int(pick(kSharedIds)), Value::String("seed")})));
-        trace = "mixed fan-out";
+        trace = "mixed multi-relation";
         break;
       }
     }
@@ -384,7 +383,7 @@ std::vector<WorkItem> MakeMultiRelationWorkload(int thread_id,
 }
 
 TEST(HighContentionMultiRelationTest,
-     SixteenThreadsOverShardedWalMatchSerialReplay) {
+     SixteenThreadsOverOneWalStreamMatchSerialReplay) {
   const std::filesystem::path dir =
       std::filesystem::temp_directory_path() /
       StrCat("txmod_oracle_multirel_", ::getpid());
@@ -392,15 +391,13 @@ TEST(HighContentionMultiRelationTest,
   TxnManagerOptions options;
   options.wal_path = (dir / "wal.log").string();
   options.checkpoint_path = (dir / "checkpoint.db").string();
-  options.wal_shards = 4;
 
   Database db = MakeMultiRelationDatabase();
   Database initial = db.Clone();
   core::IntegritySubsystem ics(&db);  // no constraints: conflicts, not aborts
   TXMOD_ASSERT_OK_AND_ASSIGN(auto manager,
                              TxnManager::Create(&ics, options));
-  ASSERT_TRUE(manager->wal()->sharded());
-  ASSERT_EQ(manager->wal()->shard_count(), 4u);
+  ASSERT_NE(manager->wal(), nullptr);
 
   std::vector<std::vector<WorkItem>> workloads;
   for (int t = 0; t < kHighContentionThreads; ++t) {
@@ -472,11 +469,11 @@ TEST(HighContentionMultiRelationTest,
   EXPECT_EQ(manager->committed_version(),
             initial.logical_time() + installed);
 
-  // Stitched sharded recovery reproduces the live state exactly.
+  // Recovery reproduces the live state exactly.
   TXMOD_ASSERT_OK_AND_ASSIGN(Database recovered,
                              TxnManager::Recover(options));
   EXPECT_TRUE(recovered.SameState(db))
-      << "sharded checkpoint+WAL recovery diverges from the live state";
+      << "checkpoint+WAL recovery diverges from the live state";
   EXPECT_EQ(recovered.logical_time(), db.logical_time());
 
   std::error_code ec;

@@ -2,8 +2,9 @@
 // trips, session-state misuse, the >= 4 concurrent-client oracle (every
 // acked commit survives server shutdown + WAL recovery), deterministic
 // admission-control backpressure via the run-probe seam, oversized-frame
-// rejection, and degraded-mode surfacing. Registered as a threaded test
-// (TSan covers it in CI).
+// rejection, and degraded-mode surfacing. The recovered state of the
+// concurrent-client oracle must also pass the full post-hoc constraint
+// check. Registered as a threaded test (TSan covers it in CI).
 
 #include <unistd.h>
 
@@ -241,6 +242,9 @@ TEST(NetServerTest, AckedCommitsSurviveShutdownAndRecovery) {
     }
   }
   EXPECT_EQ(fk_rel->size(), initial_fk + total_acked);
+  // The terminal oracle: the recovered state passes the full post-hoc
+  // constraint check, not only the engines' own differential checks.
+  EXPECT_TRUE(testing::SatisfiesKeyFkConstraints(recovered));
 }
 
 // Deterministic saturation: a commit budget of 1, one `run` parked

@@ -3,15 +3,21 @@
 // (every byte length of the log), corrupt-tail records, checkpoint +
 // truncate round trips, torn-tail repair on reopen, and a randomized
 // checkpoint/WAL property — recovery must always restore exactly a
-// committed prefix, matching a serial-replay oracle captured live.
+// committed prefix, matching a serial-replay oracle captured live — plus
+// the single-stream ordering contract (version-order replay, the gap cut
+// above the checkpoint) and concurrent group commit.
 
 #include <unistd.h>
 
+#include <atomic>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <random>
+#include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -320,193 +326,181 @@ TEST_F(RecoveryTest, GroupCommitCountersAreCoherent) {
   LiveRun run = RunWorkload(options_, DefaultWorkload());
   (void)run;
   // Re-open the log and exercise Append/Sync directly.
-  TXMOD_ASSERT_OK_AND_ASSIGN(WriteAheadLog wal,
+  TXMOD_ASSERT_OK_AND_ASSIGN(std::unique_ptr<WriteAheadLog> wal,
                              WriteAheadLog::Open(options_.wal_path));
-  EXPECT_EQ(wal.appended_lsn(), 0u);
+  EXPECT_EQ(wal->appended_lsn(), 0u);
   WalRecord rec;
   rec.version = 12345;  // never applied; only the log mechanics matter
-  TXMOD_ASSERT_OK_AND_ASSIGN(uint64_t lsn, wal.Append(rec));
+  TXMOD_ASSERT_OK_AND_ASSIGN(uint64_t lsn, wal->Append(rec));
   EXPECT_EQ(lsn, 1u);
-  EXPECT_LT(wal.durable_lsn(), lsn + 1);
-  TXMOD_ASSERT_OK(wal.Sync(lsn));
-  EXPECT_GE(wal.durable_lsn(), lsn);
-  EXPECT_GE(wal.fsync_count(), 1u);
-  TXMOD_ASSERT_OK(wal.Truncate());
+  EXPECT_LT(wal->durable_lsn(), lsn + 1);
+  TXMOD_ASSERT_OK(wal->Sync(lsn));
+  EXPECT_GE(wal->durable_lsn(), lsn);
+  EXPECT_GE(wal->fsync_count(), 1u);
+  TXMOD_ASSERT_OK(wal->Truncate());
   EXPECT_EQ(ReadFile(options_.wal_path), "txmod-wal 1\n");
 }
 
 // ---------------------------------------------------------------------------
-// Poisoned-WAL contract: after any failed fsync, the log must never again
-// report durability — every later Append/Sync fails, naming the original
-// cause. ("fsyncgate": retrying fsync after a failure silently loses the
-// pages the kernel already dropped.)
+// Single-stream recovery contract. Stage C appends outside the commit
+// lock, so one log file can hold versions out of file order and, after
+// a failed append, with a gap. Recovery replays in version order and
+// cuts at the first gap above the checkpoint.
 // ---------------------------------------------------------------------------
 
-// ---------------------------------------------------------------------------
-// Sharded WAL: per-shard streams, commit fan-out, stitched recovery.
-// ---------------------------------------------------------------------------
-
-/// DefaultWorkload plus one transaction touching BOTH relations, so at
-/// least one commit fans out across shards whenever fk_rel and key_rel
-/// route differently.
-std::vector<std::string> FanOutWorkload() {
-  std::vector<std::string> texts = DefaultWorkload();
-  texts.push_back(
-      "insert(key_rel, {(\"fresh2\", \"payload\")}); "
-      "insert(fk_rel, {(7000, \"fresh2\", 2.5)});");
-  return texts;
+/// One fk_rel insert or delete, as logged.
+WalRecord FkRecord(uint64_t version, int id, bool insert = true) {
+  WalRecord rec;
+  rec.version = version;
+  WalDelta delta{"fk_rel", {}, {}};
+  Tuple t({Value::Int(id), Value::String("k1"), Value::Double(1.0)});
+  (insert ? delta.plus : delta.minus).push_back(std::move(t));
+  rec.deltas.push_back(std::move(delta));
+  return rec;
 }
 
-TEST_F(RecoveryTest, ShardedWalRoundTrip) {
-  options_.wal_shards = 3;
-  LiveRun run = RunWorkload(options_, FanOutWorkload());
-  // The log lives in per-shard streams; nothing at the legacy path.
-  EXPECT_FALSE(std::filesystem::exists(options_.wal_path));
-  for (uint32_t k = 0; k < 3; ++k) {
-    EXPECT_TRUE(std::filesystem::exists(
-        ShardedWal::ShardPath(options_.wal_path, k)))
-        << "missing shard stream " << k;
+/// Writes a checkpoint of the key/fk database at logical time `time`
+/// and returns that state.
+Database CheckpointAtTime(const TxnManagerOptions& options, uint64_t time) {
+  Database db = bench::MakeKeyFkDatabase(10, 30);
+  for (uint64_t t = 0; t < time; ++t) db.AdvanceTime();
+  EXPECT_TRUE(CheckpointDatabaseToFile(db, options.checkpoint_path).ok());
+  return db;
+}
+
+/// Appends `records` to the log at `path` in the given (file) order.
+void AppendAll(const std::string& path, const std::vector<WalRecord>& records) {
+  TXMOD_ASSERT_OK_AND_ASSIGN(std::unique_ptr<WriteAheadLog> wal,
+                             WriteAheadLog::Open(path));
+  for (const WalRecord& rec : records) {
+    TXMOD_ASSERT_OK_AND_ASSIGN(uint64_t lsn, wal->Append(rec));
+    TXMOD_ASSERT_OK(wal->Sync(lsn));
   }
+}
+
+bool HasFk(const Database& db, int id) {
+  return (*db.Find("fk_rel"))
+      ->Contains(Tuple({Value::Int(id), Value::String("k1"),
+                        Value::Double(1.0)}));
+}
+
+TEST_F(RecoveryTest, OutOfOrderAppendsRecoverInVersionOrder) {
+  Database expected = CheckpointAtTime(options_, 0);
+  // Version 2 deletes what version 1 inserts; applied in file order the
+  // delete would come first and the tuple would survive.
+  AppendAll(options_.wal_path, {FkRecord(2, 9001, /*insert=*/false),
+                                FkRecord(3, 9002), FkRecord(1, 9001)});
   WalReplayStats stats;
   TXMOD_ASSERT_OK_AND_ASSIGN(Database recovered,
                              TxnManager::Recover(options_, &stats));
-  EXPECT_TRUE(recovered.SameState(run.db, /*compare_time=*/true));
   EXPECT_FALSE(stats.tail_dropped) << stats.tail_error;
-  EXPECT_EQ(stats.records_read, run.prefix_states.size() - 1);
+  EXPECT_EQ(stats.records_read, 3u);
+  EXPECT_EQ(recovered.logical_time(), 3u);
+  EXPECT_FALSE(HasFk(recovered, 9001));
+  EXPECT_TRUE(HasFk(recovered, 9002));
 }
 
-TEST_F(RecoveryTest, ShardedTornTailRestoresACommittedPrefix) {
-  options_.wal_shards = 2;
-  LiveRun run = RunWorkload(options_, FanOutWorkload());
-  // Tear the tail of each shard stream in turn: recovery must still
-  // restore exactly some committed prefix — the contiguity cut drops
-  // every version at or above the torn one, on every stream.
-  for (uint32_t torn = 0; torn < 2; ++torn) {
-    const std::string sp = ShardedWal::ShardPath(options_.wal_path, torn);
-    const std::string intact = ReadFile(sp);
-    ASSERT_GT(intact.size(), 10u);
-    WriteFile(sp, intact.substr(0, intact.size() - 7));
-    TXMOD_ASSERT_OK_AND_ASSIGN(Database recovered,
-                               TxnManager::Recover(options_));
-    bool is_prefix = false;
-    for (const Database& prefix : run.prefix_states) {
-      if (recovered.SameState(prefix, /*compare_time=*/true)) {
-        is_prefix = true;
-        break;
-      }
-    }
-    EXPECT_TRUE(is_prefix)
-        << "recovery after tearing shard " << torn
-        << " is not a committed prefix";
-    WriteFile(sp, intact);  // restore for the next round
-  }
-}
-
-TEST_F(RecoveryTest, OnDiskShardCountWinsOverConfigurationOnReopen) {
-  options_.wal_shards = 3;
-  LiveRun run = RunWorkload(options_, FanOutWorkload());
-  TXMOD_ASSERT_OK_AND_ASSIGN(uint32_t discovered,
-                             ShardedWal::DiscoverShardCount(options_.wal_path));
-  EXPECT_EQ(discovered, 3u);
-
-  // Reopen under a mismatched configuration: the on-disk count must win
-  // (re-routing existing records would scramble the streams).
-  options_.wal_shards = 5;
-  TXMOD_ASSERT_OK_AND_ASSIGN(Database recovered,
-                             TxnManager::Recover(options_));
-  ASSERT_TRUE(recovered.SameState(run.db, /*compare_time=*/true));
-  core::IntegritySubsystem ics(&recovered);
-  TXMOD_ASSERT_OK(ics.DefineConstraint("domain", bench::DomainConstraint()));
-  TXMOD_ASSERT_OK(ics.DefineConstraint("refint", bench::RefIntConstraint()));
-  TXMOD_ASSERT_OK_AND_ASSIGN(auto manager,
-                             TxnManager::Create(&ics, options_));
-  EXPECT_EQ(manager->wal()->shard_count(), 3u);
-  TXMOD_ASSERT_OK(
-      manager->RunText("insert(fk_rel, {(8100, \"k3\", 2.0)});").status());
-  TXMOD_ASSERT_OK_AND_ASSIGN(Database after, TxnManager::Recover(options_));
-  EXPECT_TRUE(after.SameState(recovered, /*compare_time=*/true));
-}
-
-TEST_F(RecoveryTest, PreShardLegacyLogIsStitchedAsThePrefixStream) {
-  // Life begins unsharded: a v1 log at the legacy path.
-  LiveRun run = RunWorkload(options_, DefaultWorkload());
-  ASSERT_TRUE(std::filesystem::exists(options_.wal_path));
-
-  // Reopen under a sharded configuration: the legacy file stays behind
-  // as the read-only prefix stream, new commits fan out to the shards,
-  // and stitched recovery reads the union in version order.
-  options_.wal_shards = 2;
-  TXMOD_ASSERT_OK_AND_ASSIGN(Database recovered,
-                             TxnManager::Recover(options_));
-  ASSERT_TRUE(recovered.SameState(run.db, /*compare_time=*/true));
-  core::IntegritySubsystem ics(&recovered);
-  TXMOD_ASSERT_OK(ics.DefineConstraint("domain", bench::DomainConstraint()));
-  TXMOD_ASSERT_OK(ics.DefineConstraint("refint", bench::RefIntConstraint()));
-  TXMOD_ASSERT_OK_AND_ASSIGN(auto manager,
-                             TxnManager::Create(&ics, options_));
-  ASSERT_TRUE(manager->wal()->sharded());
-  EXPECT_TRUE(std::filesystem::exists(options_.wal_path))
-      << "adopting sharding must not discard the legacy prefix stream";
-  TXMOD_ASSERT_OK(
-      manager->RunText("insert(fk_rel, {(8200, \"k4\", 3.0)});").status());
-  TXMOD_ASSERT_OK(
-      manager
-          ->RunText(
-              "delete(key_rel, {(\"x1\", \"payload\")}); "
-              "insert(fk_rel, {(8201, \"k5\", 1.0)});")
-          .status());
-  TXMOD_ASSERT_OK_AND_ASSIGN(Database stitched, TxnManager::Recover(options_));
-  EXPECT_TRUE(stitched.SameState(recovered, /*compare_time=*/true));
-
-  // The next checkpoint covers the legacy records; Truncate removes the
-  // lingering prefix stream.
-  TXMOD_ASSERT_OK(manager->Checkpoint());
-  EXPECT_FALSE(std::filesystem::exists(options_.wal_path));
-  TXMOD_ASSERT_OK_AND_ASSIGN(Database after_ckpt,
-                             TxnManager::Recover(options_));
-  EXPECT_TRUE(after_ckpt.SameState(recovered, /*compare_time=*/true));
-}
-
-TEST_F(RecoveryTest, PartialFanOutIsDroppedTogetherWithEverythingAbove) {
-  options_.wal_shards = 2;
-  LiveRun run = RunWorkload(options_, DefaultWorkload());
-
-  // Hand-craft the crash between the shard appends of one commit: a
-  // record declaring parts=2 lands on shard 0 only. Recovery must treat
-  // the version as absent (the commit was never acknowledged) and drop
-  // it — plus a later complete record above it, which sits beyond the
-  // contiguity cut.
-  const uint64_t next_version = run.db.logical_time() + 1;
-  {
-    TXMOD_ASSERT_OK_AND_ASSIGN(
-        WriteAheadLog shard0,
-        WriteAheadLog::OpenShard(
-            ShardedWal::ShardPath(options_.wal_path, 0), 0, 2));
-    WalRecord partial;
-    partial.version = next_version;
-    partial.parts = 2;  // declares a second part that never made it
-    partial.deltas.push_back(WalDelta{
-        "fk_rel",
-        {Tuple({Value::Int(9500), Value::String("k1"), Value::Double(1.0)})},
-        {}});
-    TXMOD_ASSERT_OK_AND_ASSIGN(uint64_t lsn, shard0.Append(partial));
-    WalRecord above;
-    above.version = next_version + 1;
-    above.deltas.push_back(WalDelta{
-        "fk_rel",
-        {Tuple({Value::Int(9501), Value::String("k2"), Value::Double(1.0)})},
-        {}});
-    TXMOD_ASSERT_OK_AND_ASSIGN(lsn, shard0.Append(above));
-    TXMOD_ASSERT_OK(shard0.Sync(lsn));
-  }
+TEST_F(RecoveryTest, VersionGapAboveCheckpointCutsTheTail) {
+  CheckpointAtTime(options_, 4);
+  // Version 6 is missing: 7 sits above the hole and was never ackable.
+  AppendAll(options_.wal_path,
+            {FkRecord(5, 9101), FkRecord(7, 9103), FkRecord(8, 9104)});
   WalReplayStats stats;
   TXMOD_ASSERT_OK_AND_ASSIGN(Database recovered,
                              TxnManager::Recover(options_, &stats));
-  EXPECT_TRUE(recovered.SameState(run.db, /*compare_time=*/true))
-      << "a partial fan-out leaked into recovery";
   EXPECT_TRUE(stats.tail_dropped);
-  EXPECT_NE(stats.tail_error.find("incomplete fan-out"), std::string::npos)
+  EXPECT_NE(stats.tail_error.find("version gap after 5"), std::string::npos)
       << stats.tail_error;
+  EXPECT_EQ(stats.records_read, 1u);
+  EXPECT_EQ(recovered.logical_time(), 5u);
+  EXPECT_TRUE(HasFk(recovered, 9101));
+  EXPECT_FALSE(HasFk(recovered, 9103));
+  EXPECT_FALSE(HasFk(recovered, 9104));
+}
+
+TEST_F(RecoveryTest, GappedRecordsAtOrBelowCheckpointAreSkippedNotCut) {
+  // A crash between checkpoint rename and log truncation can leave
+  // covered records behind, gaps included: they are skipped, never a
+  // cut.
+  CheckpointAtTime(options_, 5);
+  AppendAll(options_.wal_path, {FkRecord(2, 9201), FkRecord(5, 9202),
+                                FkRecord(6, 9203), FkRecord(7, 9204)});
+  WalReplayStats stats;
+  TXMOD_ASSERT_OK_AND_ASSIGN(Database recovered,
+                             TxnManager::Recover(options_, &stats));
+  EXPECT_FALSE(stats.tail_dropped) << stats.tail_error;
+  EXPECT_EQ(stats.records_skipped, 2u);
+  EXPECT_EQ(recovered.logical_time(), 7u);
+  EXPECT_FALSE(HasFk(recovered, 9201));
+  EXPECT_FALSE(HasFk(recovered, 9202));
+  EXPECT_TRUE(HasFk(recovered, 9203));
+  EXPECT_TRUE(HasFk(recovered, 9204));
+}
+
+TEST_F(RecoveryTest, ShardStreamHeaderOfAnEarlierBuildIsRefused) {
+  CheckpointAtTime(options_, 0);
+  // The stream header earlier builds wrote for shard 0 of a 2-way log.
+  const std::string shard_header = StrCat("txmod-wal ", 2, " shard 0/2\n");
+  WriteFile(options_.wal_path, shard_header);
+  EXPECT_EQ(ReadWal(options_.wal_path).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(TxnManager::Recover(options_).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(WriteAheadLog::Open(options_.wal_path).status().code(),
+            StatusCode::kInvalidArgument);
+
+  // The same log laid out as its `.shard<k>` streams, with no file at
+  // the log path itself, must not read as an empty log.
+  std::filesystem::remove(options_.wal_path);
+  WriteFile(StrCat(options_.wal_path, ".shard0"), shard_header);
+  EXPECT_EQ(TxnManager::Recover(options_).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(WriteAheadLog::Open(options_.wal_path).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST_F(RecoveryTest, ConcurrentAppendAndSyncLoseNoRecord) {
+  // Group commit under concurrency: every Append then Sync from 8
+  // threads. Each Sync must cover its record, the leader/follower
+  // batching must never issue more fsyncs than requests, and the file
+  // must hold every record.
+  constexpr int kThreads = 8;
+  constexpr int kPerThread = 50;
+  TXMOD_ASSERT_OK_AND_ASSIGN(std::unique_ptr<WriteAheadLog> wal,
+                             WriteAheadLog::Open(options_.wal_path));
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kPerThread; ++i) {
+        const int id = t * kPerThread + i + 1;
+        Result<uint64_t> lsn =
+            wal->Append(FkRecord(static_cast<uint64_t>(id), id));
+        if (!lsn.ok() || !wal->Sync(*lsn).ok() || wal->durable_lsn() < *lsn) {
+          ++failures;
+          return;
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  ASSERT_EQ(failures.load(), 0);
+  constexpr uint64_t kTotal = kThreads * kPerThread;
+  EXPECT_EQ(wal->appended_lsn(), kTotal);
+  EXPECT_EQ(wal->durable_lsn(), kTotal);
+  EXPECT_EQ(wal->sync_requests(), kTotal);
+  EXPECT_LE(wal->fsync_count(), wal->sync_requests());
+
+  WalReplayStats stats;
+  TXMOD_ASSERT_OK_AND_ASSIGN(std::vector<WalRecord> records,
+                             ReadWal(options_.wal_path, &stats));
+  EXPECT_FALSE(stats.tail_dropped) << stats.tail_error;
+  ASSERT_EQ(records.size(), kTotal);
+  std::set<uint64_t> versions;
+  for (const WalRecord& rec : records) versions.insert(rec.version);
+  EXPECT_EQ(versions.size(), kTotal);
+  EXPECT_EQ(*versions.begin(), 1u);
+  EXPECT_EQ(*versions.rbegin(), kTotal);
 }
 
 // ---------------------------------------------------------------------------
@@ -518,11 +512,11 @@ TEST_F(RecoveryTest, PartialFanOutIsDroppedTogetherWithEverythingAbove) {
 
 TEST_F(RecoveryTest, FailedFsyncPoisonsEveryLaterAppendAndSync) {
   FaultInjectingVfs vfs;
-  TXMOD_ASSERT_OK_AND_ASSIGN(WriteAheadLog wal,
+  TXMOD_ASSERT_OK_AND_ASSIGN(std::unique_ptr<WriteAheadLog> wal,
                              WriteAheadLog::Open(options_.wal_path, &vfs));
   WalRecord rec;
   rec.version = 1;
-  TXMOD_ASSERT_OK_AND_ASSIGN(uint64_t lsn, wal.Append(rec));
+  TXMOD_ASSERT_OK_AND_ASSIGN(uint64_t lsn, wal->Append(rec));
 
   FaultSpec fault;
   fault.op = VfsOp::kFsync;
@@ -530,19 +524,19 @@ TEST_F(RecoveryTest, FailedFsyncPoisonsEveryLaterAppendAndSync) {
   fault.path_substring = "wal";
   vfs.InjectFault(fault);  // one-shot: the NEXT fsync fails, later ones "work"
 
-  const Status failed = wal.Sync(lsn);
+  const Status failed = wal->Sync(lsn);
   ASSERT_FALSE(failed.ok());
   const std::string original_cause = failed.message();
   EXPECT_NE(original_cause.find("injected"), std::string::npos);
 
   std::string cause;
-  EXPECT_TRUE(wal.broken(&cause));
+  EXPECT_TRUE(wal->broken(&cause));
   EXPECT_EQ(cause, original_cause);
 
   // The fault was one-shot — the OS-level fsync would now "succeed". The
   // log must refuse anyway: those pages are gone.
   rec.version = 2;
-  const Status later_append = wal.Append(rec).status();
+  const Status later_append = wal->Append(rec).status();
   ASSERT_FALSE(later_append.ok());
   EXPECT_EQ(later_append.code(), StatusCode::kUnavailable);
   EXPECT_NE(later_append.message().find("poisoned"), std::string::npos);
@@ -550,12 +544,12 @@ TEST_F(RecoveryTest, FailedFsyncPoisonsEveryLaterAppendAndSync) {
       << "the error must name the original failure, got: "
       << later_append.message();
 
-  const Status later_sync = wal.Sync(lsn);
+  const Status later_sync = wal->Sync(lsn);
   ASSERT_FALSE(later_sync.ok());
   EXPECT_EQ(later_sync.code(), StatusCode::kUnavailable);
   EXPECT_NE(later_sync.message().find(original_cause), std::string::npos);
 
-  const Status later_truncate = wal.Truncate();
+  const Status later_truncate = wal->Truncate();
   ASSERT_FALSE(later_truncate.ok());
   EXPECT_EQ(later_truncate.code(), StatusCode::kUnavailable);
 }
@@ -564,11 +558,11 @@ TEST_F(RecoveryTest, FsyncGateNeverAcksAfterTheFirstFailure) {
   // The gate variant: fsync fails once, then LIES (reports success while
   // dropping writes). The poison bit must make the lie unreachable.
   FaultInjectingVfs vfs;
-  TXMOD_ASSERT_OK_AND_ASSIGN(WriteAheadLog wal,
+  TXMOD_ASSERT_OK_AND_ASSIGN(std::unique_ptr<WriteAheadLog> wal,
                              WriteAheadLog::Open(options_.wal_path, &vfs));
   WalRecord rec;
   rec.version = 1;
-  TXMOD_ASSERT_OK_AND_ASSIGN(uint64_t lsn, wal.Append(rec));
+  TXMOD_ASSERT_OK_AND_ASSIGN(uint64_t lsn, wal->Append(rec));
 
   FaultSpec fault;
   fault.op = VfsOp::kFsync;
@@ -576,14 +570,14 @@ TEST_F(RecoveryTest, FsyncGateNeverAcksAfterTheFirstFailure) {
   fault.path_substring = "wal";
   vfs.InjectFault(fault);
 
-  ASSERT_FALSE(wal.Sync(lsn).ok());
-  EXPECT_LT(wal.durable_lsn(), lsn) << "a failed fsync must not advance "
+  ASSERT_FALSE(wal->Sync(lsn).ok());
+  EXPECT_LT(wal->durable_lsn(), lsn) << "a failed fsync must not advance "
                                        "durability";
   // No combination of later calls may ever report the record durable.
-  EXPECT_FALSE(wal.Sync(lsn).ok());
-  EXPECT_FALSE(wal.Append(rec).ok());
-  EXPECT_LT(wal.durable_lsn(), lsn);
-  EXPECT_TRUE(wal.broken());
+  EXPECT_FALSE(wal->Sync(lsn).ok());
+  EXPECT_FALSE(wal->Append(rec).ok());
+  EXPECT_LT(wal->durable_lsn(), lsn);
+  EXPECT_TRUE(wal->broken());
 }
 
 }  // namespace

@@ -338,6 +338,20 @@ TEST(TxnManagerTest, FinishedSessionsRejectFurtherUse) {
             StatusCode::kFailedPrecondition);
 }
 
+TEST(TxnManagerTest, WalShardsOtherThanOneIsRejected) {
+  // The WAL is one stream; the field survives only for source
+  // compatibility.
+  Database db = MakeFixtureState();
+  core::IntegritySubsystem ics(&db);
+  TxnManagerOptions options;
+  options.wal_shards = 2;
+  auto created = TxnManager::Create(&ics, options);
+  ASSERT_FALSE(created.ok());
+  EXPECT_EQ(created.status().code(), StatusCode::kInvalidArgument);
+  options.wal_shards = 1;
+  TXMOD_EXPECT_OK(TxnManager::Create(&ics, options).status());
+}
+
 TEST(TxnManagerTest, KeyFkWorkloadThroughManagerKeepsIntegrity) {
   // The bench schema end-to-end: dangling inserts abort, valid ones
   // commit, and the final state satisfies the constraints.
