@@ -210,7 +210,7 @@ class Repl {
         std::cout << rs.ToString() << "\n";
       }
     } else if (command == "save") {
-      Report(txmod::SaveDatabaseToFile(db_, rest));
+      Report(txmod::CheckpointDatabaseToFile(db_, rest));
     } else if (command == "load") {
       auto loaded = txmod::LoadDatabaseFromFile(rest);
       if (!loaded.ok()) {

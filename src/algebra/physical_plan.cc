@@ -11,45 +11,6 @@ namespace txmod::algebra {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Borrow-or-own handle: kRef inputs are borrowed from the context (no copy);
-// computed inputs are owned by the handle.
-// ---------------------------------------------------------------------------
-
-class RelHandle {
- public:
-  static RelHandle Borrowed(const Relation* rel) {
-    RelHandle h;
-    h.ptr_ = rel;
-    return h;
-  }
-  static RelHandle Owned(Relation rel) {
-    RelHandle h;
-    h.owned_ = std::move(rel);
-    h.ptr_ = &*h.owned_;
-    return h;
-  }
-  RelHandle() = default;
-  RelHandle(RelHandle&& other) noexcept { *this = std::move(other); }
-  RelHandle& operator=(RelHandle&& other) noexcept {
-    owned_ = std::move(other.owned_);
-    ptr_ = owned_.has_value() ? &*owned_ : other.ptr_;
-    return *this;
-  }
-
-  const Relation& get() const { return *ptr_; }
-
-  /// Moves the relation out, copying when it was merely borrowed.
-  Relation Take() && {
-    if (owned_.has_value()) return *std::move(owned_);
-    return *ptr_;  // deep copy
-  }
-
- private:
-  const Relation* ptr_ = nullptr;
-  std::optional<Relation> owned_;
-};
-
-// ---------------------------------------------------------------------------
 // Schema synthesis helpers.
 // ---------------------------------------------------------------------------
 

@@ -8,6 +8,7 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/algebra/eval_context.h"
@@ -46,6 +47,43 @@ enum class PhysOpKind {
 };
 
 const char* PhysOpKindToString(PhysOpKind op);
+
+/// Borrow-or-own handle for an operator's input or output: relation
+/// references are borrowed from the EvalContext (no copy), computed
+/// results are owned by the handle. Both engines hold operands this way.
+class RelHandle {
+ public:
+  static RelHandle Borrowed(const Relation* rel) {
+    RelHandle h;
+    h.ptr_ = rel;
+    return h;
+  }
+  static RelHandle Owned(Relation rel) {
+    RelHandle h;
+    h.owned_ = std::move(rel);
+    h.ptr_ = &*h.owned_;
+    return h;
+  }
+  RelHandle() = default;
+  RelHandle(RelHandle&& other) noexcept { *this = std::move(other); }
+  RelHandle& operator=(RelHandle&& other) noexcept {
+    owned_ = std::move(other.owned_);
+    ptr_ = owned_.has_value() ? &*owned_ : other.ptr_;
+    return *this;
+  }
+
+  const Relation& get() const { return *ptr_; }
+
+  /// Moves the relation out, copying when it was merely borrowed.
+  Relation Take() && {
+    if (owned_.has_value()) return *std::move(owned_);
+    return *ptr_;  // deep copy
+  }
+
+ private:
+  const Relation* ptr_ = nullptr;
+  std::optional<Relation> owned_;
+};
 
 /// One node of a compiled physical plan. `logical` points into the
 /// RelExpr tree the plan was compiled from (predicates, projection items,

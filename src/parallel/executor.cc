@@ -7,6 +7,7 @@
 
 #include "src/algebra/physical_plan.h"
 #include "src/common/str_util.h"
+#include "src/txn/executor.h"
 
 namespace txmod::parallel {
 
@@ -17,6 +18,7 @@ using algebra::PhysicalNode;
 using algebra::PhysicalPlan;
 using algebra::RelExpr;
 using algebra::RelExprKind;
+using algebra::RelHandle;
 using algebra::RelRefKind;
 using algebra::ScalarExpr;
 using algebra::ScalarOp;
@@ -33,14 +35,30 @@ enum class Alignment {
   kCoordinator,  // all tuples on node 0 (literals, aggregate results)
 };
 
-/// A fragmented intermediate result.
+/// A fragmented intermediate result, one relation per node: borrowed from
+/// the node's TxnContext (or a temporary) for relation references, owned
+/// for operator outputs.
 struct FragRel {
-  std::vector<Relation> frags;
+  std::vector<RelHandle> frags;
   Alignment alignment = Alignment::kNone;
   int attr = -1;  // kAttr only
   /// False when tuples are globally duplicate-free under set semantics.
   bool maybe_duplicated = false;
+
+  const Relation& frag(std::size_t i) const { return frags[i].get(); }
 };
+
+/// Wraps per-node operator outputs as an owned FragRel.
+FragRel Owned(std::vector<Relation> rels, Alignment alignment, int attr,
+              bool maybe_duplicated) {
+  FragRel out;
+  out.frags.reserve(rels.size());
+  for (Relation& r : rels) out.frags.push_back(RelHandle::Owned(std::move(r)));
+  out.alignment = alignment;
+  out.attr = attr;
+  out.maybe_duplicated = maybe_duplicated;
+  return out;
+}
 
 std::shared_ptr<const RelationSchema> MakeSchema(
     std::vector<Attribute> attrs) {
@@ -96,13 +114,16 @@ class ParallelExecutor::Impl {
         nodes_(db->num_nodes()),
         width_(U(db->num_nodes())),
         result_{false, "", ParallelStats(db->num_nodes()),
-                algebra::EvalStats{}} {}
+                algebra::EvalStats{}} {
+    ctxs_.reserve(width_);
+    for (int i = 0; i < nodes_; ++i) ctxs_.emplace_back(db->mutable_node(i));
+  }
 
   Result<ParallelTxnResult> Run(const algebra::Transaction& txn) {
     for (const Statement& stmt : txn.program.statements) {
       const Status st = ExecuteStatement(stmt);
       if (st.ok()) continue;
-      Rollback();
+      for (txn::TxnContext& ctx : ctxs_) ctx.Rollback();
       if (st.code() == StatusCode::kAborted) {
         result_.committed = false;
         result_.abort_reason = st.message();
@@ -110,6 +131,7 @@ class ParallelExecutor::Impl {
       }
       return st;
     }
+    for (txn::TxnContext& ctx : ctxs_) ctx.Commit();
     result_.committed = true;
     return result_;
   }
@@ -120,7 +142,7 @@ class ParallelExecutor::Impl {
   Status ExecuteStatement(const Statement& stmt) {
     switch (stmt.kind) {
       case StatementKind::kAssign: {
-        TXMOD_ASSIGN_OR_RETURN(FragRel value, EvalExpr(*stmt.expr));
+        TXMOD_ASSIGN_OR_RETURN(FragRel value, EvalOwned(*stmt.expr));
         temps_.insert_or_assign(stmt.target, std::move(value));
         return Status::OK();
       }
@@ -132,13 +154,13 @@ class ParallelExecutor::Impl {
         return ExecuteUpdate(stmt);
       case StatementKind::kAlarm: {
         TXMOD_ASSIGN_OR_RETURN(FragRel value, EvalExpr(*stmt.expr));
-        std::size_t total = 0;
-        for (const Relation& f : value.frags) total += f.size();
-        if (total == 0) return Status::OK();
-        return Status::Aborted(stmt.message.empty()
-                                   ? StrCat("alarm raised: ",
-                                            stmt.expr->ToString())
-                                   : stmt.message);
+        // Set semantics: a tuple several nodes produced is one violation.
+        Relation violations(value.frag(0).schema_ptr());
+        for (const RelHandle& f : value.frags) {
+          for (const Tuple& t : f.get()) violations.Insert(t);
+        }
+        if (violations.empty()) return Status::OK();
+        return Status::Aborted(txn::AlarmMessage(stmt, violations.size()));
       }
       case StatementKind::kAbort:
         return Status::Aborted(stmt.message.empty() ? "abort statement"
@@ -147,26 +169,27 @@ class ParallelExecutor::Impl {
     return Status::Internal("unknown statement kind");
   }
 
+  // --- writes: each tuple goes to its owning node's TxnContext, on the
+  // coordinator thread; a tuple produced on another node is a transfer. ---
+
   Status ExecuteInsert(const Statement& stmt) {
-    TXMOD_ASSIGN_OR_RETURN(FragRel value, EvalExpr(*stmt.expr));
-    TXMOD_ASSIGN_OR_RETURN(FragmentedRelation * target,
-                           db_->FindMutable(stmt.target));
-    const RelationSchema& schema = target->fragments[0].schema();
-    // Route every produced tuple to its owning fragment; a tuple produced
-    // on a different node is a transfer. Mutation stays on the
-    // coordinator: the differential bookkeeping below is the transaction's
-    // undo log and must observe one total order of changes.
+    TXMOD_ASSIGN_OR_RETURN(FragRel value, EvalOwned(*stmt.expr));
+    TXMOD_ASSIGN_OR_RETURN(const FragmentationScheme scheme,
+                           db_->Scheme(stmt.target));
+    TXMOD_ASSIGN_OR_RETURN(const RelationSchema* schema,
+                           db_->schema().Find(stmt.target));
     const PhaseTimer timer;
     uint64_t transferred = 0;
     std::vector<uint64_t> local(width_, 0);
     for (std::size_t src = 0; src < width_; ++src) {
-      for (const Tuple& raw : value.frags[src]) {
-        TXMOD_RETURN_IF_ERROR(schema.CheckTuple(raw));
-        Tuple t = schema.CoerceTuple(raw);
-        const std::size_t dst = U(FragmentOf(t, target->scheme, nodes_));
+      for (const Tuple& raw : value.frag(src)) {
+        TXMOD_RETURN_IF_ERROR(schema->CheckTuple(raw));
+        Tuple t = schema->CoerceTuple(raw);
+        const std::size_t dst = U(FragmentOf(t, scheme, nodes_));
         if (dst != src) ++transferred;
         ++local[src];
-        ApplyInsert(stmt.target, target, dst, std::move(t));
+        TXMOD_RETURN_IF_ERROR(
+            ctxs_[dst].InsertTuple(stmt.target, std::move(t)).status());
       }
     }
     result_.stats.AddPhaseTimed("insert", local, transferred,
@@ -176,20 +199,21 @@ class ParallelExecutor::Impl {
   }
 
   Status ExecuteDelete(const Statement& stmt) {
-    TXMOD_ASSIGN_OR_RETURN(FragRel value, EvalExpr(*stmt.expr));
-    TXMOD_ASSIGN_OR_RETURN(FragmentedRelation * target,
-                           db_->FindMutable(stmt.target));
-    const RelationSchema& schema = target->fragments[0].schema();
+    TXMOD_ASSIGN_OR_RETURN(FragRel value, EvalOwned(*stmt.expr));
+    TXMOD_ASSIGN_OR_RETURN(const FragmentationScheme scheme,
+                           db_->Scheme(stmt.target));
+    TXMOD_ASSIGN_OR_RETURN(const RelationSchema* schema,
+                           db_->schema().Find(stmt.target));
     const PhaseTimer timer;
     uint64_t transferred = 0;
     std::vector<uint64_t> local(width_, 0);
     for (std::size_t src = 0; src < width_; ++src) {
-      for (const Tuple& raw : value.frags[src]) {
-        const Tuple t = schema.CoerceTuple(raw);
-        const std::size_t dst = U(FragmentOf(t, target->scheme, nodes_));
+      for (const Tuple& raw : value.frag(src)) {
+        const Tuple t = schema->CoerceTuple(raw);
+        const std::size_t dst = U(FragmentOf(t, scheme, nodes_));
         if (dst != src) ++transferred;
         ++local[src];
-        ApplyDelete(stmt.target, target, dst, t);
+        TXMOD_RETURN_IF_ERROR(ctxs_[dst].DeleteTuple(stmt.target, t).status());
       }
     }
     result_.stats.AddPhaseTimed("delete", local, transferred,
@@ -199,9 +223,10 @@ class ParallelExecutor::Impl {
   }
 
   Status ExecuteUpdate(const Statement& stmt) {
-    TXMOD_ASSIGN_OR_RETURN(FragmentedRelation * target,
-                           db_->FindMutable(stmt.target));
-    const RelationSchema& schema = target->fragments[0].schema();
+    TXMOD_ASSIGN_OR_RETURN(const FragmentationScheme scheme,
+                           db_->Scheme(stmt.target));
+    TXMOD_ASSIGN_OR_RETURN(const RelationSchema* schema,
+                           db_->schema().Find(stmt.target));
     const PhaseTimer timer;
     uint64_t transferred = 0;
     std::vector<uint64_t> local(width_, 0);
@@ -210,12 +235,15 @@ class ParallelExecutor::Impl {
     // later fragment is not selected (and updated) a second time there.
     std::vector<std::pair<std::size_t, Tuple>> selected;
     for (std::size_t node = 0; node < width_; ++node) {
-      for (const Tuple& t : target->fragments[node]) {
+      TXMOD_ASSIGN_OR_RETURN(
+          const Relation* frag,
+          ctxs_[node].Resolve(RelRefKind::kBase, stmt.target));
+      for (const Tuple& t : *frag) {
         TXMOD_ASSIGN_OR_RETURN(bool match,
                                stmt.predicate.EvalPredicate(&t, nullptr));
         if (match) selected.emplace_back(node, t);
       }
-      local[node] += target->fragments[node].size();
+      local[node] += frag->size();
     }
     for (const auto& [node, old_tuple] : selected) {
       Tuple new_tuple = old_tuple;
@@ -228,63 +256,19 @@ class ParallelExecutor::Impl {
         }
         new_tuple.at(U(u.attr)) = std::move(v);
       }
-      TXMOD_RETURN_IF_ERROR(schema.CheckTuple(new_tuple));
-      new_tuple = schema.CoerceTuple(std::move(new_tuple));
-      ApplyDelete(stmt.target, target, node, old_tuple);
-      const std::size_t dst = U(FragmentOf(new_tuple, target->scheme, nodes_));
+      TXMOD_RETURN_IF_ERROR(schema->CheckTuple(new_tuple));
+      new_tuple = schema->CoerceTuple(std::move(new_tuple));
+      TXMOD_RETURN_IF_ERROR(
+          ctxs_[node].DeleteTuple(stmt.target, old_tuple).status());
+      const std::size_t dst = U(FragmentOf(new_tuple, scheme, nodes_));
       if (dst != node) ++transferred;
-      ApplyInsert(stmt.target, target, dst, std::move(new_tuple));
+      TXMOD_RETURN_IF_ERROR(
+          ctxs_[dst].InsertTuple(stmt.target, std::move(new_tuple)).status());
     }
     result_.stats.AddPhaseTimed("update", local, transferred,
                                 transferred > 0 ? 1 : 0,
                                 options_.cost_model, timer.us());
     return Status::OK();
-  }
-
-  // --- differential bookkeeping + rollback ----------------------------------
-
-  struct NodeDiff {
-    std::vector<Relation> plus;
-    std::vector<Relation> minus;
-  };
-
-  NodeDiff& DiffFor(const std::string& rel, const FragmentedRelation& f) {
-    auto it = diffs_.find(rel);
-    if (it == diffs_.end()) {
-      NodeDiff d;
-      for (std::size_t i = 0; i < width_; ++i) {
-        d.plus.emplace_back(f.fragments[0].schema_ptr());
-        d.minus.emplace_back(f.fragments[0].schema_ptr());
-      }
-      it = diffs_.emplace(rel, std::move(d)).first;
-    }
-    return it->second;
-  }
-
-  void ApplyInsert(const std::string& name, FragmentedRelation* rel,
-                   std::size_t node, Tuple t) {
-    if (!rel->fragments[node].Insert(t)) return;
-    NodeDiff& d = DiffFor(name, *rel);
-    if (!d.minus[node].Erase(t)) d.plus[node].Insert(std::move(t));
-  }
-
-  void ApplyDelete(const std::string& name, FragmentedRelation* rel,
-                   std::size_t node, const Tuple& t) {
-    if (!rel->fragments[node].Erase(t)) return;
-    NodeDiff& d = DiffFor(name, *rel);
-    if (!d.plus[node].Erase(t)) d.minus[node].Insert(t);
-  }
-
-  void Rollback() {
-    for (auto& [name, diff] : diffs_) {
-      FragmentedRelation* rel = *db_->FindMutable(name);
-      for (std::size_t i = 0; i < width_; ++i) {
-        for (const Tuple& t : diff.plus[i]) rel->fragments[i].Erase(t);
-        for (const Tuple& t : diff.minus[i]) rel->fragments[i].Insert(t);
-      }
-    }
-    diffs_.clear();
-    temps_.clear();
   }
 
   // --- expression evaluation -------------------------------------------------
@@ -323,6 +307,16 @@ class ParallelExecutor::Impl {
     return out;
   }
 
+  /// EvalExpr for a statement that keeps or routes its result: borrowed
+  /// fragments (a bare reference, or a fast path returning an operand)
+  /// are copied, as the serial engine's Execute does, so the result never
+  /// aliases a relation the statement then writes.
+  Result<FragRel> EvalOwned(const RelExpr& e) {
+    TXMOD_ASSIGN_OR_RETURN(FragRel out, EvalExpr(e));
+    for (RelHandle& f : out.frags) f = RelHandle::Owned(std::move(f).Take());
+    return out;
+  }
+
   Result<FragRel> Eval(const PhysicalNode& n) {
     switch (n.op) {
       case PhysOpKind::kScan:
@@ -350,66 +344,35 @@ class ParallelExecutor::Impl {
     return Status::Internal("unknown physical operator");
   }
 
-  Alignment BaseAlignment(const FragmentedRelation& f, int* attr) const {
-    if (f.scheme.kind == FragmentationKind::kHash) {
-      *attr = f.scheme.attr;
-      return Alignment::kAttr;
-    }
-    *attr = -1;
-    return Alignment::kNone;
-  }
-
+  /// A relation reference: a temporary, or one relation per node
+  /// resolved through that node's TxnContext (the current state, old(),
+  /// dplus or dminus). Borrows every fragment; copies nothing.
   Result<FragRel> EvalRef(const RelExpr& e) {
+    FragRel out;
     if (e.ref_kind() == RelRefKind::kTemp) {
       auto it = temps_.find(e.rel_name());
       if (it == temps_.end()) {
         return Status::NotFound(StrCat("unknown temporary ", e.rel_name()));
       }
-      return it->second;
-    }
-    TXMOD_ASSIGN_OR_RETURN(const FragmentedRelation* base,
-                           db_->Find(e.rel_name()));
-    FragRel out;
-    switch (e.ref_kind()) {
-      case RelRefKind::kBase:
-        out.frags = base->fragments;  // copy; mutation safety
-        break;
-      case RelRefKind::kTemp:
-        return Status::Internal("temp handled above");
-      case RelRefKind::kDeltaPlus:
-      case RelRefKind::kDeltaMinus: {
-        auto it = diffs_.find(e.rel_name());
-        if (it == diffs_.end()) {
-          for (std::size_t i = 0; i < width_; ++i) {
-            out.frags.emplace_back(base->fragments[0].schema_ptr());
-          }
-        } else {
-          out.frags = e.ref_kind() == RelRefKind::kDeltaPlus
-                          ? it->second.plus
-                          : it->second.minus;
-        }
-        break;
+      for (const RelHandle& f : it->second.frags) {
+        out.frags.push_back(RelHandle::Borrowed(&f.get()));
       }
-      case RelRefKind::kOld: {
-        // (R \ plus) ∪ minus, node-local (diffs are routed to owners).
-        auto it = diffs_.find(e.rel_name());
-        for (std::size_t i = 0; i < width_; ++i) {
-          Relation old_view(base->fragments[0].schema_ptr());
-          for (const Tuple& t : base->fragments[i]) {
-            if (it == diffs_.end() || !it->second.plus[i].Contains(t)) {
-              old_view.Insert(t);
-            }
-          }
-          if (it != diffs_.end()) {
-            for (const Tuple& t : it->second.minus[i]) old_view.Insert(t);
-          }
-          out.frags.push_back(std::move(old_view));
-        }
-        break;
-      }
+      out.alignment = it->second.alignment;
+      out.attr = it->second.attr;
+      out.maybe_duplicated = it->second.maybe_duplicated;
+      return out;
     }
-    out.alignment = BaseAlignment(*base, &out.attr);
-    out.maybe_duplicated = false;
+    TXMOD_ASSIGN_OR_RETURN(const FragmentationScheme scheme,
+                           db_->Scheme(e.rel_name()));
+    for (const txn::TxnContext& ctx : ctxs_) {
+      TXMOD_ASSIGN_OR_RETURN(const Relation* frag,
+                             ctx.Resolve(e.ref_kind(), e.rel_name()));
+      out.frags.push_back(RelHandle::Borrowed(frag));
+    }
+    if (scheme.kind == FragmentationKind::kHash) {
+      out.alignment = Alignment::kAttr;
+      out.attr = scheme.attr;
+    }
     return out;
   }
 
@@ -417,13 +380,9 @@ class ParallelExecutor::Impl {
     TXMOD_ASSIGN_OR_RETURN(
         Relation lit,
         algebra::MaterializeLiteral(e, &result_.eval_stats, cur_params_));
-    FragRel out;
-    for (std::size_t i = 0; i < width_; ++i) {
-      out.frags.emplace_back(lit.schema_ptr());
-    }
-    out.frags[0] = std::move(lit);
-    out.alignment = Alignment::kCoordinator;
-    return out;
+    std::vector<Relation> frags(width_, Relation(lit.schema_ptr()));
+    frags[0] = std::move(lit);
+    return Owned(std::move(frags), Alignment::kCoordinator, -1, false);
   }
 
   // --- phase machinery -------------------------------------------------------
@@ -453,15 +412,10 @@ class ParallelExecutor::Impl {
                                  const FragRel& l, const FragRel* r,
                                  Alignment align, int attr,
                                  bool maybe_dup) {
-    FragRel out;
-    out.alignment = align;
-    out.attr = attr;
-    out.maybe_duplicated = maybe_dup;
-    out.frags.resize(width_);
+    std::vector<Relation> outs(width_);
     std::vector<uint64_t> scanned(width_);
     for (std::size_t i = 0; i < width_; ++i) {
-      scanned[i] =
-          l.frags[i].size() + (r != nullptr ? r->frags[i].size() : 0);
+      scanned[i] = l.frag(i).size() + (r != nullptr ? r->frag(i).size() : 0);
     }
     const PhaseTimer timer;
     const std::size_t msize = MorselSize();
@@ -479,11 +433,11 @@ class ParallelExecutor::Impl {
     std::vector<Shard> shards(width_);
     for (std::size_t i = 0; i < width_; ++i) {
       Shard& sh = shards[i];
-      sh.input.reserve(l.frags[i].size() +
-                       (union_op && r != nullptr ? r->frags[i].size() : 0));
-      for (const Tuple& t : l.frags[i]) sh.input.push_back(&t);
+      sh.input.reserve(l.frag(i).size() +
+                       (union_op && r != nullptr ? r->frag(i).size() : 0));
+      for (const Tuple& t : l.frag(i)) sh.input.push_back(&t);
       if (union_op && r != nullptr) {
-        for (const Tuple& t : r->frags[i]) sh.input.push_back(&t);
+        for (const Tuple& t : r->frag(i)) sh.input.push_back(&t);
       }
       sh.morsels = (sh.input.size() + msize - 1) / msize;
       sh.morsel_out.resize(sh.morsels);
@@ -498,8 +452,8 @@ class ParallelExecutor::Impl {
       plan.queues.resize(width_);
       for (std::size_t i = 0; i < width_; ++i) {
         Shard& sh = shards[i];
-        const Relation& left = l.frags[i];
-        const Relation* right = r != nullptr ? &r->frags[i] : nullptr;
+        const Relation& left = l.frag(i);
+        const Relation* right = r != nullptr ? &r->frag(i) : nullptr;
         const std::vector<Value>* params = cur_params_;
         plan.queues[i].push_back([&n, &sh, &left, right, params] {
           Result<algebra::NodeLocalKernel> k =
@@ -552,7 +506,7 @@ class ParallelExecutor::Impl {
       plan.queues.resize(width_);
       for (std::size_t i = 0; i < width_; ++i) {
         Shard& sh = shards[i];
-        Relation* dst = &out.frags[i];
+        Relation* dst = &outs[i];
         plan.queues[i].push_back([&sh, dst] {
           *dst = Relation(sh.kernel->output_schema());
           for (std::vector<Tuple>& mo : sh.morsel_out) {
@@ -564,7 +518,7 @@ class ParallelExecutor::Impl {
     }
     result_.stats.AddPhaseTimed(label, scanned, 0, 0, options_.cost_model,
                                 timer.us());
-    return out;
+    return Owned(std::move(outs), align, attr, maybe_dup);
   }
 
   /// One producer task of an exchange: a morsel-sized slice of a source
@@ -578,21 +532,22 @@ class ParallelExecutor::Impl {
   using Queues = std::vector<std::unique_ptr<ExchangeQueue>>;
 
   /// The data path shared by redistribution and broadcast: moves `in`'s
-  /// tuples into `out->frags` through bounded per-destination
+  /// tuples into `out` (one relation per node) through bounded per-destination
   /// ExchangeQueues. Every morsel-sized producer task, queued on its
   /// source shard, runs `send(producer, queues)` to push its batches; one
   /// consumer per destination runs as a phase follower (see ExchangeQueue
   /// for the deadlock-freedom contract). Returns the producers with the
   /// per-destination tallies `send` recorded.
   template <typename SendFn>
-  std::vector<Producer> Exchange(const FragRel& in, FragRel* out,
+  std::vector<Producer> Exchange(const FragRel& in,
+                                 std::vector<Relation>* out,
                                  const SendFn& send) {
     const std::size_t msize = MorselSize();
     std::vector<std::vector<const Tuple*>> inputs(width_);
     std::vector<Producer> producers;
     for (std::size_t src = 0; src < width_; ++src) {
-      inputs[src].reserve(in.frags[src].size());
-      for (const Tuple& t : in.frags[src]) inputs[src].push_back(&t);
+      inputs[src].reserve(in.frag(src).size());
+      for (const Tuple& t : in.frag(src)) inputs[src].push_back(&t);
       for (std::size_t off = 0; off < inputs[src].size(); off += msize) {
         Producer p;
         p.src = src;
@@ -618,7 +573,7 @@ class ParallelExecutor::Impl {
       });
     }
     for (std::size_t dst = 0; dst < width_; ++dst) {
-      Relation* target = &out->frags[dst];
+      Relation* target = &(*out)[dst];
       ExchangeQueue* q = queues[dst].get();
       plan.followers.push_back([target, q] {
         std::vector<Tuple> b;
@@ -643,16 +598,12 @@ class ParallelExecutor::Impl {
   FragRel ExchangePhase(const char* label, const FragRel& in, RouteFn route,
                         Alignment align, int attr, bool maybe_dup,
                         bool per_pair_messages) {
-    FragRel out;
-    out.frags.assign(width_, Relation(in.frags[0].schema_ptr()));
-    out.alignment = align;
-    out.attr = attr;
-    out.maybe_duplicated = maybe_dup;
+    std::vector<Relation> outs(width_, Relation(in.frag(0).schema_ptr()));
     std::vector<uint64_t> scanned(width_, 0);
-    for (std::size_t i = 0; i < width_; ++i) scanned[i] = in.frags[i].size();
+    for (std::size_t i = 0; i < width_; ++i) scanned[i] = in.frag(i).size();
     const PhaseTimer timer;
     const std::vector<Producer> producers = Exchange(
-        in, &out, [&route, this](Producer& p, const Queues& queues) {
+        in, &outs, [&route, this](Producer& p, const Queues& queues) {
           std::vector<std::vector<Tuple>> bufs(width_);
           for (std::size_t k = 0; k < p.count; ++k) {
             const Tuple& t = *p.base[k];
@@ -690,7 +641,7 @@ class ParallelExecutor::Impl {
     }
     result_.stats.AddPhaseTimed(label, scanned, transferred, messages,
                                 options_.cost_model, timer.us());
-    return out;
+    return Owned(std::move(outs), align, attr, maybe_dup);
   }
 
   /// Hash-redistributes `in` on attribute `attr` (FragmentOfValue).
@@ -721,9 +672,7 @@ class ParallelExecutor::Impl {
   /// one batch into every destination's queue. The charge is the model's
   /// all-to-all broadcast: every tuple to the width - 1 other nodes.
   FragRel BroadcastAll(const FragRel& r, std::size_t right_total) {
-    FragRel bc;
-    bc.frags.assign(width_, Relation(r.frags[0].schema_ptr()));
-    bc.alignment = Alignment::kNone;
+    std::vector<Relation> bc(width_, Relation(r.frag(0).schema_ptr()));
     const PhaseTimer timer;
     Exchange(r, &bc, [](const Producer& p, const Queues& queues) {
       std::vector<Tuple> batch;
@@ -735,7 +684,7 @@ class ParallelExecutor::Impl {
         "broadcast", std::vector<uint64_t>(width_, 0),
         static_cast<uint64_t>(right_total) * (width_ - 1),
         width_ > 1 ? width_ - 1 : 0, options_.cost_model, timer.us());
-    return bc;
+    return Owned(std::move(bc), Alignment::kNone, -1, false);
   }
 
   /// Selections and projections run fragment-local through the shared
@@ -799,7 +748,7 @@ class ParallelExecutor::Impl {
   Result<FragRel> EvalSetOp(const PhysicalNode& n) {
     TXMOD_ASSIGN_OR_RETURN(FragRel l, Eval(n.child(0)));
     TXMOD_ASSIGN_OR_RETURN(FragRel r, Eval(n.child(1)));
-    if (l.frags[0].arity() != r.frags[0].arity()) {
+    if (l.frag(0).arity() != r.frag(0).arity()) {
       return Status::InvalidArgument("set operation over different arities");
     }
     if (!SetOpAligned(l, r)) {
@@ -816,20 +765,16 @@ class ParallelExecutor::Impl {
     // Empty right operand: joins and semijoins are empty, an antijoin is
     // the left side — without scanning it (differential fast path).
     std::size_t right_total = 0;
-    for (const Relation& f : r.frags) right_total += f.size();
+    for (const RelHandle& f : r.frags) right_total += f.get().size();
     if (right_total == 0) {
       if (e.kind() == RelExprKind::kAntiJoin) return Eval(n.child(0));
       TXMOD_ASSIGN_OR_RETURN(FragRel l, Eval(n.child(0)));
-      FragRel out;
       std::shared_ptr<const RelationSchema> schema =
           e.kind() == RelExprKind::kJoin
-              ? MakeSchema(
-                    ConcatAttrs(l.frags[0].schema(), r.frags[0].schema()))
-              : l.frags[0].schema_ptr();
-      out.frags.assign(width_, Relation(schema));
-      out.alignment = l.alignment;
-      out.attr = l.attr;
-      return out;
+              ? MakeSchema(ConcatAttrs(l.frag(0).schema(), r.frag(0).schema()))
+              : l.frag(0).schema_ptr();
+      return Owned(std::vector<Relation>(width_, Relation(schema)),
+                   l.alignment, l.attr, false);
     }
     TXMOD_ASSIGN_OR_RETURN(FragRel l, Eval(n.child(0)));
     if (!n.left_keys.empty()) {
@@ -873,7 +818,7 @@ class ParallelExecutor::Impl {
     // cannot differ between worker counts or steal orders.
     std::vector<AggPartial> partials(width_);
     std::vector<uint64_t> scanned(width_);
-    for (std::size_t i = 0; i < width_; ++i) scanned[i] = in.frags[i].size();
+    for (std::size_t i = 0; i < width_; ++i) scanned[i] = in.frag(i).size();
     std::vector<algebra::EvalStats> node_stats(width_);
     std::vector<Status> statuses(width_, Status::OK());
     const PhaseTimer timer;
@@ -881,7 +826,7 @@ class ParallelExecutor::Impl {
     plan.steal_seed = PhaseSeed();
     plan.queues.resize(width_);
     for (std::size_t i = 0; i < width_; ++i) {
-      const Relation* frag = &in.frags[i];
+      const Relation* frag = &in.frag(i);
       AggPartial* partial = &partials[i];
       algebra::EvalStats* stats = &node_stats[i];
       Status* status = &statuses[i];
@@ -917,11 +862,9 @@ class ParallelExecutor::Impl {
     auto schema = MakeSchema(
         {Attribute{AggFuncToString(e.agg_func()),
                    result.is_double() ? AttrType::kDouble : AttrType::kInt}});
-    FragRel out;
-    out.frags.assign(width_, Relation(schema));
-    out.frags[0].Insert(Tuple({std::move(result)}));
-    out.alignment = Alignment::kCoordinator;
-    return out;
+    std::vector<Relation> frags(width_, Relation(schema));
+    frags[0].Insert(Tuple({std::move(result)}));
+    return Owned(std::move(frags), Alignment::kCoordinator, -1, false);
   }
 
   ParallelDatabase* db_;
@@ -935,8 +878,9 @@ class ParallelExecutor::Impl {
   /// Binding vector of the statement currently being evaluated (null in
   /// reference mode); read-only during pool phases.
   const std::vector<Value>* cur_params_ = nullptr;
+  /// One per node: the transaction's writes, old(), dplus and dminus.
+  std::vector<txn::TxnContext> ctxs_;
   std::map<std::string, FragRel> temps_;
-  std::map<std::string, NodeDiff> diffs_;
 };
 
 ParallelExecutor::ParallelExecutor(ParallelDatabase* db,

@@ -107,9 +107,12 @@ class ParallelExecutor {
  public:
   ParallelExecutor(ParallelDatabase* db, ParallelOptions options = {});
 
-  /// Runs the transaction with atomicity across fragments: on alarm/abort
-  /// every fragment is restored. The result carries the work statistics:
-  /// the simulated POOMA makespan plus measured per-phase wall clock.
+  /// Runs the transaction on one txn::TxnContext per node, so each node's
+  /// writes, old(), dplus and dminus live in that node's overlay levels:
+  /// on alarm/abort every node rolls back, otherwise every node commits
+  /// (folding its levels in place). The result carries the work
+  /// statistics: the simulated POOMA makespan plus measured per-phase
+  /// wall clock.
   Result<ParallelTxnResult> Execute(const algebra::Transaction& txn);
 
   /// This executor's plan cache (diagnostics: hit/miss/eviction totals).

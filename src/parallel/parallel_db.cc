@@ -12,59 +12,49 @@ Result<ParallelDatabase> ParallelDatabase::Partition(
     return Status::InvalidArgument("num_nodes must be at least 1");
   }
   ParallelDatabase out;
-  out.num_nodes_ = num_nodes;
+  out.nodes_.resize(static_cast<std::size_t>(num_nodes));
   for (const RelationSchema& rs : db.schema().relations()) {
-    TXMOD_RETURN_IF_ERROR(out.schema_.AddRelation(rs));
-    FragmentedRelation frag;
     auto it = schemes.find(rs.name());
-    frag.scheme = it != schemes.end() ? it->second : FragmentationScheme{};
-    if (frag.scheme.kind == FragmentationKind::kHash &&
-        (frag.scheme.attr < 0 ||
-         frag.scheme.attr >= static_cast<int>(rs.arity()))) {
+    const FragmentationScheme scheme =
+        it != schemes.end() ? it->second : FragmentationScheme{};
+    if (scheme.kind == FragmentationKind::kHash &&
+        (scheme.attr < 0 || scheme.attr >= static_cast<int>(rs.arity()))) {
       return Status::InvalidArgument(
-          StrCat("hash fragmentation attribute #", frag.scheme.attr,
+          StrCat("hash fragmentation attribute #", scheme.attr,
                  " out of range for ", rs.name()));
     }
+    out.schemes_.emplace(rs.name(), scheme);
+    std::vector<Relation*> fragments;
+    for (Database& node : out.nodes_) {
+      TXMOD_RETURN_IF_ERROR(node.CreateRelation(rs));
+      fragments.push_back(*node.FindMutable(rs.name()));
+    }
     TXMOD_ASSIGN_OR_RETURN(const Relation* rel, db.Find(rs.name()));
-    frag.fragments.reserve(num_nodes);
-    for (int i = 0; i < num_nodes; ++i) {
-      frag.fragments.emplace_back(rel->schema_ptr());
-    }
     for (const Tuple& t : *rel) {
-      frag.fragments[FragmentOf(t, frag.scheme, num_nodes)].Insert(t);
+      fragments[static_cast<std::size_t>(FragmentOf(t, scheme, num_nodes))]
+          ->Insert(t);
     }
-    out.relations_.emplace(rs.name(), std::move(frag));
   }
   return out;
 }
 
-Result<const FragmentedRelation*> ParallelDatabase::Find(
+Result<FragmentationScheme> ParallelDatabase::Scheme(
     const std::string& name) const {
-  auto it = relations_.find(name);
-  if (it == relations_.end()) {
+  auto it = schemes_.find(name);
+  if (it == schemes_.end()) {
     return Status::NotFound(StrCat("relation ", name, " not partitioned"));
   }
-  return &it->second;
-}
-
-Result<FragmentedRelation*> ParallelDatabase::FindMutable(
-    const std::string& name) {
-  auto it = relations_.find(name);
-  if (it == relations_.end()) {
-    return Status::NotFound(StrCat("relation ", name, " not partitioned"));
-  }
-  return &it->second;
+  return it->second;
 }
 
 Database ParallelDatabase::Merge() const {
   Database db;
-  for (const RelationSchema& rs : schema_.relations()) {
+  for (const RelationSchema& rs : schema().relations()) {
     Status st = db.CreateRelation(rs);
     (void)st;
     Relation* rel = *db.FindMutable(rs.name());
-    const FragmentedRelation& frag = relations_.at(rs.name());
-    for (const Relation& f : frag.fragments) {
-      for (const Tuple& t : f) rel->Insert(t);
+    for (const Database& node : nodes_) {
+      for (const Tuple& t : **node.Find(rs.name())) rel->Insert(t);
     }
   }
   return db;

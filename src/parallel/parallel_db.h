@@ -10,22 +10,13 @@
 
 namespace txmod::parallel {
 
-/// A relation split into one fragment per node.
-struct FragmentedRelation {
-  FragmentationScheme scheme;
-  std::vector<Relation> fragments;  // one per node
-
-  std::size_t TotalSize() const {
-    std::size_t n = 0;
-    for (const Relation& f : fragments) n += f.size();
-    return n;
-  }
-};
-
 /// A PRISMA-style fragmented database: every relation horizontally
-/// partitioned over `num_nodes` nodes ([7]). Built by partitioning a
-/// serial Database; Merge() reconstructs one for verification against
-/// serial execution.
+/// partitioned over `num_nodes` nodes ([7]). Each node holds an ordinary
+/// Database with one relation per fragmented relation — the fragment
+/// stored on that node — so a transaction runs on a node through the same
+/// TxnContext as on a serial database. Built by partitioning a serial
+/// Database; Merge() reconstructs one for verification against serial
+/// execution.
 class ParallelDatabase {
  public:
   /// Partitions `db`. Relations without an entry in `schemes` default to
@@ -35,20 +26,27 @@ class ParallelDatabase {
       const std::map<std::string, FragmentationScheme>& schemes,
       int num_nodes);
 
-  int num_nodes() const { return num_nodes_; }
+  int num_nodes() const { return static_cast<int>(nodes_.size()); }
 
-  Result<const FragmentedRelation*> Find(const std::string& name) const;
-  Result<FragmentedRelation*> FindMutable(const std::string& name);
+  /// Node `i`'s database: relation R holds R's fragment on node i.
+  const Database& node(int i) const {
+    return nodes_[static_cast<std::size_t>(i)];
+  }
+  Database* mutable_node(int i) {
+    return &nodes_[static_cast<std::size_t>(i)];
+  }
 
-  const DatabaseSchema& schema() const { return schema_; }
+  /// How `name` is fragmented over the nodes.
+  Result<FragmentationScheme> Scheme(const std::string& name) const;
+
+  const DatabaseSchema& schema() const { return nodes_[0].schema(); }
 
   /// Reassembles the fragments into a serial database state.
   Database Merge() const;
 
  private:
-  int num_nodes_ = 1;
-  DatabaseSchema schema_;
-  std::map<std::string, FragmentedRelation> relations_;
+  std::vector<Database> nodes_;  // never empty
+  std::map<std::string, FragmentationScheme> schemes_;
 };
 
 }  // namespace txmod::parallel

@@ -1,8 +1,5 @@
 #include "src/relational/persist.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <cctype>
 #include <cerrno>
 #include <cinttypes>
@@ -206,15 +203,6 @@ Status SaveDatabase(const Database& db, std::ostream& out) {
   return Status::OK();
 }
 
-Status SaveDatabaseToFile(const Database& db, const std::string& path) {
-  std::ofstream out(path);
-  if (!out.is_open()) {
-    return Status::InvalidArgument(StrCat("cannot open ", path,
-                                          " for writing"));
-  }
-  return SaveDatabase(db, out);
-}
-
 Status CheckpointDatabaseToFile(const Database& db, const std::string& path,
                                 Vfs* vfs) {
   if (vfs == nullptr) vfs = Vfs::Default();
@@ -233,21 +221,6 @@ Status CheckpointDatabaseToFile(const Database& db, const std::string& path,
   // this, a later durable WAL truncation could outlive a lost rename and
   // recovery would pair the OLD checkpoint with an EMPTY log.
   return vfs->SyncParentDirectory(path);
-}
-
-Status FsyncParentDirectory(const std::string& path) {
-  const std::size_t slash = path.find_last_of('/');
-  const std::string dir = slash == std::string::npos
-                              ? std::string(".")
-                              : path.substr(0, slash == 0 ? 1 : slash);
-  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-  if (fd < 0) {
-    return Status::Internal(StrCat("cannot open directory ", dir));
-  }
-  const bool synced = ::fsync(fd) == 0;
-  ::close(fd);
-  if (!synced) return Status::Internal(StrCat("fsync of ", dir, " failed"));
-  return Status::OK();
 }
 
 Result<Database> LoadDatabase(std::istream& in) {

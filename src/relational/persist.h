@@ -28,7 +28,6 @@ namespace txmod {
 /// (differentials, temporaries) are never persisted, matching the model:
 /// only pre-/post-transaction states exist outside a transaction.
 Status SaveDatabase(const Database& db, std::ostream& out);
-Status SaveDatabaseToFile(const Database& db, const std::string& path);
 
 /// Crash-safe checkpoint: writes to `path`.tmp, flushes to stable storage
 /// (fsync), atomically renames over `path`, then fsyncs the parent
@@ -40,10 +39,6 @@ Status SaveDatabaseToFile(const Database& db, const std::string& path);
 /// through `vfs` (nullptr = the real POSIX environment).
 Status CheckpointDatabaseToFile(const Database& db, const std::string& path,
                                 Vfs* vfs = nullptr);
-
-/// Fsyncs the directory containing `path` (making a rename of `path`
-/// durable). Exposed for the WAL's own rename-based repair.
-Status FsyncParentDirectory(const std::string& path);
 
 /// Restores a checkpoint into a fresh Database (schema included).
 Result<Database> LoadDatabase(std::istream& in);

@@ -51,11 +51,7 @@ Status EvalAlarm(const Statement& stmt, algebra::PlanCache* cache,
   TXMOD_ASSIGN_OR_RETURN(Relation value,
                          EvalExpr(stmt, cache, eval_ctx, stats));
   if (value.empty()) return Status::OK();
-  return Status::Aborted(
-      stmt.message.empty()
-          ? StrCat("alarm raised: ", stmt.expr->ToString(), " is non-empty (",
-                   value.size(), " tuple(s))")
-          : stmt.message);
+  return Status::Aborted(AlarmMessage(stmt, value.size()));
 }
 
 Status ExecuteAssign(const Statement& stmt, TxnContext* ctx,
@@ -197,6 +193,12 @@ void RunChecksParallel(const std::vector<Statement>& stmts,
 }
 
 }  // namespace
+
+std::string AlarmMessage(const Statement& stmt, std::size_t violations) {
+  if (!stmt.message.empty()) return stmt.message;
+  return StrCat("alarm raised: ", stmt.expr->ToString(), " is non-empty (",
+                violations, " tuple(s))");
+}
 
 Status ExecuteStatement(const Statement& stmt, TxnContext* ctx,
                         TxnResult* result) {

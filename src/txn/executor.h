@@ -47,6 +47,12 @@ struct TxnResult {
 Status ExecuteStatement(const algebra::Statement& stmt, TxnContext* ctx,
                         TxnResult* result);
 
+/// The abort reason of an alarm statement whose expression yielded
+/// `violations` (> 0) tuples: the statement's own message, else a
+/// description of the violation. Every engine reports alarms with it.
+std::string AlarmMessage(const algebra::Statement& stmt,
+                         std::size_t violations);
+
 /// Runs every statement of `txn` through `ctx` WITHOUT committing: on
 /// clean completion the context still holds its overlay levels (and
 /// read/footprint records) so the caller decides the transaction's fate —

@@ -53,10 +53,12 @@ TEST_P(ParallelTest, PartitionPreservesContentAndMergeRestoresIt) {
       ParallelDatabase pdb,
       ParallelDatabase::Partition(db_, BeerSchemes(), nodes));
   EXPECT_EQ(pdb.num_nodes(), nodes);
-  TXMOD_ASSERT_OK_AND_ASSIGN(const FragmentedRelation* beer,
-                             pdb.Find("beer"));
-  EXPECT_EQ(beer->TotalSize(), 20u);
-  EXPECT_EQ(static_cast<int>(beer->fragments.size()), nodes);
+  std::size_t beers = 0;
+  for (int i = 0; i < nodes; ++i) {
+    TXMOD_ASSERT_OK_AND_ASSIGN(const Relation* beer, pdb.node(i).Find("beer"));
+    beers += beer->size();
+  }
+  EXPECT_EQ(beers, 20u);
   EXPECT_TRUE(pdb.Merge().SameState(db_));
 }
 
@@ -65,14 +67,67 @@ TEST_P(ParallelTest, HashFragmentationColocatesEqualKeys) {
   TXMOD_ASSERT_OK_AND_ASSIGN(
       ParallelDatabase pdb,
       ParallelDatabase::Partition(db_, BeerSchemes(), nodes));
-  TXMOD_ASSERT_OK_AND_ASSIGN(const FragmentedRelation* beer,
-                             pdb.Find("beer"));
   // All beers of one brewery sit in the same fragment.
   for (int i = 0; i < nodes; ++i) {
-    for (const Tuple& t : beer->fragments[i]) {
+    TXMOD_ASSERT_OK_AND_ASSIGN(const Relation* beer, pdb.node(i).Find("beer"));
+    for (const Tuple& t : *beer) {
       EXPECT_EQ(FragmentOfValue(t.at(2), nodes), i);
     }
   }
+}
+
+/// Every node runs the transaction through its own TxnContext, and
+/// nothing copies a node's database, so commit folds each node's overlay
+/// levels back into the very relation objects the nodes held before —
+/// flat, and without an O(|R|) collapse — across a commit, an abort and a
+/// second commit.
+TEST_P(ParallelTest, CommitFoldsEveryNodeInPlace) {
+  const int nodes = GetParam();
+  core::IntegritySubsystem ics(&db_);
+  TXMOD_ASSERT_OK(ics.DefineConstraint(
+      "refint",
+      "forall x (x in beer implies exists y (y in brewery and "
+      "x.brewery = y.name))"));
+  TXMOD_ASSERT_OK_AND_ASSIGN(
+      ParallelDatabase pdb,
+      ParallelDatabase::Partition(db_, BeerSchemes(), nodes));
+  auto relations = [&pdb, nodes] {
+    std::vector<const Relation*> out;
+    for (int i = 0; i < nodes; ++i) {
+      for (const char* name : {"beer", "brewery"}) {
+        out.push_back(*pdb.node(i).Find(name));
+      }
+    }
+    return out;
+  };
+  const std::vector<const Relation*> before = relations();
+  ThreadPool caller_pool(0);
+  ParallelOptions options;
+  options.pool = &caller_pool;
+  ParallelExecutor exec(&pdb, options);
+  CowStats::Reset();
+  const std::vector<std::pair<std::string, bool>> steps = {
+      {"insert(brewery, {(\"plzen\", \"pilsen\", \"cz\")}); "
+       "insert(beer, {(\"urquell\", \"lager\", \"plzen\", 4.4)}); "
+       "delete(beer, select[name = \"beer3\"](beer));",
+       true},
+      {"insert(beer, {(\"orphan\", \"ale\", \"nowhere\", 5.0)}); "
+       "delete(beer, select[name = \"beer4\"](beer));",
+       false},
+      {"delete(beer, select[name = \"beer5\"](beer)); "
+       "update(beer, name = \"beer6\", brewery := \"plzen\");",
+       true},
+  };
+  for (const auto& [text, commits] : steps) {
+    SCOPED_TRACE(text);
+    TXMOD_ASSERT_OK_AND_ASSIGN(Transaction modified,
+                               ics.Modify(ParseTxn(text)));
+    TXMOD_ASSERT_OK_AND_ASSIGN(ParallelTxnResult r, exec.Execute(modified));
+    EXPECT_EQ(r.committed, commits) << r.abort_reason;
+    EXPECT_EQ(relations(), before);
+    for (const Relation* rel : relations()) EXPECT_FALSE(rel->is_overlay());
+  }
+  EXPECT_EQ(CowStats::overlay_collapses.load(), 0u);
 }
 
 /// Runs the same modified transaction serially and in parallel (on a

@@ -66,7 +66,7 @@ TEST(PersistTest, FileRoundTrip) {
   Database db = MakeBeerDatabase();
   AddBeer(&db, "pils", "lager", "heineken", 5.0);
   const std::string path = ::testing::TempDir() + "/txmod_checkpoint.txt";
-  TXMOD_ASSERT_OK(SaveDatabaseToFile(db, path));
+  TXMOD_ASSERT_OK(CheckpointDatabaseToFile(db, path));
   TXMOD_ASSERT_OK_AND_ASSIGN(Database loaded, LoadDatabaseFromFile(path));
   EXPECT_TRUE(loaded.SameState(db));
 }

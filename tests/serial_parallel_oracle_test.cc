@@ -6,8 +6,13 @@
 // test drives both engines through the paper's
 // beer/brewery example and through randomized key/fk transactions
 // (bench/workload.h's schema) and asserts equivalence after every
-// transaction.
+// transaction. Agreement alone would pass a bug both engines share, so
+// each step is also held against the independent post-hoc checker: every
+// state the parallel engine reaches satisfies the constraints in full,
+// and it commits exactly the transactions the post-hoc checker, running
+// them unmodified, commits.
 
+#include <functional>
 #include <random>
 #include <string>
 #include <vector>
@@ -15,6 +20,7 @@
 #include "gtest/gtest.h"
 #include "bench/workload.h"
 #include "src/algebra/parser.h"
+#include "src/baseline/posthoc_checker.h"
 #include "src/common/str_util.h"
 #include "src/core/subsystem.h"
 #include "src/parallel/executor.h"
@@ -43,14 +49,32 @@ struct OracleParam {
   std::size_t morsel_tuples = 1024;
 };
 
+/// Declares a workload's constraints on a subsystem.
+using DefineConstraints = std::function<Status(core::IntegritySubsystem*)>;
+
+/// The paper's beer/brewery constraints, as the beer workload declares
+/// them.
+Status DefineBeerConstraints(core::IntegritySubsystem* ics) {
+  TXMOD_RETURN_IF_ERROR(ics->DefineConstraint(
+      "domain", "forall x (x in beer implies x.alcohol >= 0)"));
+  return ics->DefineConstraint("refint", testing::BeerRefIntConstraint());
+}
+
 /// Both engines execute the same modified transaction against their own
-/// copy of the same starting state; outcomes and final states must match.
-/// `serial_db` and `pdb` evolve statefully across calls so multi-
-/// transaction histories stay comparable.
-void StepBothEngines(const Transaction& modified, Database* serial_db,
-                     ParallelDatabase* pdb, const OracleParam& param,
+/// copy of the same starting state; outcomes, abort reasons and final
+/// states must match. `serial_db` and `pdb` evolve statefully across
+/// calls so multi-transaction histories stay comparable. The post-hoc
+/// checker then judges the parallel engine on its own: it runs `txn` (the
+/// unmodified transaction) over a copy of the pre-state and must commit
+/// exactly when the parallel engine did, and the parallel state must
+/// satisfy every constraint `define` declares.
+void StepBothEngines(const Transaction& txn, const Transaction& modified,
+                     Database* serial_db, ParallelDatabase* pdb,
+                     const OracleParam& param,
+                     const DefineConstraints& define,
                      const std::string& trace) {
   SCOPED_TRACE(trace);
+  Database posthoc_db = pdb->Merge();
   auto serial = txn::ExecuteTransaction(modified, serial_db);
   ASSERT_TRUE(serial.ok()) << serial.status().ToString();
 
@@ -65,7 +89,17 @@ void StepBothEngines(const Transaction& modified, Database* serial_db,
                              exec.Execute(modified));
 
   EXPECT_EQ(serial->committed, parallel.committed);
+  EXPECT_EQ(serial->abort_reason, parallel.abort_reason);
   EXPECT_TRUE(pdb->Merge().SameState(*serial_db));
+
+  core::IntegritySubsystem posthoc_ics(&posthoc_db);
+  TXMOD_ASSERT_OK(define(&posthoc_ics));
+  baseline::PostHocChecker checker(&posthoc_ics, {/*use_triggers=*/false});
+  TXMOD_ASSERT_OK_AND_ASSIGN(txn::TxnResult posthoc, checker.Execute(txn));
+  EXPECT_EQ(posthoc.committed, parallel.committed)
+      << "post-hoc: " << posthoc.abort_reason
+      << "; parallel: " << parallel.abort_reason;
+  EXPECT_TRUE(testing::SatisfiesConstraints(pdb->Merge(), define));
 }
 
 class OracleTest : public ::testing::TestWithParam<OracleParam> {};
@@ -83,12 +117,7 @@ TEST_P(OracleTest, BeerBreweryWorkloadAgrees) {
             i % 2 == 0 ? "heineken" : "guinness", 4.0 + (i % 5));
   }
   core::IntegritySubsystem ics(&db);
-  TXMOD_ASSERT_OK(ics.DefineConstraint(
-      "domain", "forall x (x in beer implies x.alcohol >= 0)"));
-  TXMOD_ASSERT_OK(ics.DefineConstraint(
-      "refint",
-      "forall x (x in beer implies exists y (y in brewery and "
-      "x.brewery = y.name))"));
+  TXMOD_ASSERT_OK(DefineBeerConstraints(&ics));
 
   const std::map<std::string, FragmentationScheme> schemes = {
       {"beer", FragmentationScheme{FragmentationKind::kHash, 2}},
@@ -116,13 +145,28 @@ TEST_P(OracleTest, BeerBreweryWorkloadAgrees) {
       "insert(beer, {(\"norse\", \"ale\", \"newbrew\", 5.5)});",
       // Multi-statement with a temporary.
       "tmp := select[alcohol > 7](beer); delete(beer, tmp);",
+      // A user alarm without a message: both engines report the same
+      // reason, counting "lager" once although several nodes produce it.
+      "alarm(project[type](select[alcohol > 6](beer)));",
+      // Delete one beer and re-insert it unchanged: commits, and the
+      // node's dplus/dminus net out to nothing.
+      "delete(beer, select[name = \"beer3\"](beer)); "
+      "insert(beer, {(\"beer3\", \"lager\", \"guinness\", 7.0)});",
+      // Re-route a beer to heineken's node, then abort on domain: both
+      // nodes roll back.
+      "update(beer, name = \"beer5\", brewery := \"heineken\", "
+      "alcohol := -1.0);",
+      // A user statement that reads old(beer) after writing beer.
+      "tmp := select[type = \"lager\"](beer); delete(beer, tmp); "
+      "insert(beer, select[alcohol < 6](old(beer)));",
   };
   algebra::AlgebraParser parser(&db.schema());
   for (std::size_t i = 0; i < workload.size(); ++i) {
     TXMOD_ASSERT_OK_AND_ASSIGN(Transaction txn,
                                parser.ParseTransaction(workload[i]));
     TXMOD_ASSERT_OK_AND_ASSIGN(Transaction modified, ics.Modify(txn));
-    StepBothEngines(modified, &serial_db, &pdb, GetParam(),
+    StepBothEngines(txn, modified, &serial_db, &pdb, GetParam(),
+                    DefineBeerConstraints,
                     StrCat("beer workload #", i, ": ", workload[i]));
   }
 }
@@ -159,7 +203,9 @@ TEST_P(OracleTest, UpdateOfPartitioningAttributeAgrees) {
   for (std::size_t i = 0; i < workload.size(); ++i) {
     TXMOD_ASSERT_OK_AND_ASSIGN(Transaction txn,
                                parser.ParseTransaction(workload[i]));
-    StepBothEngines(txn, &serial_db, &pdb, GetParam(),
+    // No constraints: the update runs unmodified in both engines.
+    StepBothEngines(txn, txn, &serial_db, &pdb, GetParam(),
+                    [](core::IntegritySubsystem*) { return Status::OK(); },
                     StrCat("update #", i, ": ", workload[i]));
   }
 }
@@ -174,8 +220,7 @@ TEST_P(OracleTest, RandomizedKeyFkWorkloadAgrees) {
   Database db = bench::MakeKeyFkDatabase(keys, fks);
   bench::AddUnreferencedKeys(&db, 20);
   core::IntegritySubsystem ics(&db);
-  TXMOD_ASSERT_OK(ics.DefineConstraint("domain", bench::DomainConstraint()));
-  TXMOD_ASSERT_OK(ics.DefineConstraint("refint", bench::RefIntConstraint()));
+  TXMOD_ASSERT_OK(testing::DefineKeyFkConstraints(&ics));
 
   const std::map<std::string, FragmentationScheme> schemes = {
       {"fk_rel", FragmentationScheme{FragmentationKind::kHash, 1}},
@@ -254,7 +299,8 @@ TEST_P(OracleTest, RandomizedKeyFkWorkloadAgrees) {
       }
     }
     TXMOD_ASSERT_OK_AND_ASSIGN(Transaction modified, ics.Modify(txn));
-    StepBothEngines(modified, &serial_db, &pdb, GetParam(),
+    StepBothEngines(txn, modified, &serial_db, &pdb, GetParam(),
+                    testing::DefineKeyFkConstraints,
                     StrCat("random step ", step, ": ", trace));
   }
 }

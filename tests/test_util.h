@@ -91,14 +91,15 @@ inline Status DefineKeyFkConstraints(core::IntegritySubsystem* ics) {
 }
 
 /// The independent terminal oracle: checks `state` in full against the
-/// key/fk constraints — the post-hoc checker with triggers off runs an
-/// empty transaction over a private copy, so no differential
+/// constraints `define` declares — the post-hoc checker with triggers off
+/// runs an empty transaction over a private copy, so no differential
 /// simplification is involved — and succeeds only when all of them hold.
-inline ::testing::AssertionResult SatisfiesKeyFkConstraints(
-    const Database& state) {
+template <typename DefineFn>
+::testing::AssertionResult SatisfiesConstraints(const Database& state,
+                                                const DefineFn& define) {
   Database copy = state.Clone();
   core::IntegritySubsystem ics(&copy);
-  const Status defined = DefineKeyFkConstraints(&ics);
+  const Status defined = define(&ics);
   if (!defined.ok()) {
     return ::testing::AssertionFailure() << defined.ToString();
   }
@@ -111,6 +112,12 @@ inline ::testing::AssertionResult SatisfiesKeyFkConstraints(
     return ::testing::AssertionFailure() << checked->abort_reason;
   }
   return ::testing::AssertionSuccess();
+}
+
+/// SatisfiesConstraints for the key/fk constraints.
+inline ::testing::AssertionResult SatisfiesKeyFkConstraints(
+    const Database& state) {
+  return SatisfiesConstraints(state, DefineKeyFkConstraints);
 }
 
 }  // namespace txmod::testing
